@@ -1,98 +1,56 @@
 #include "engine/parallel_engine.hpp"
 
-#include <cassert>
-#include <chrono>
+#include <algorithm>
 
-#include "obs/observability.hpp"
-#include "obs/task_events.hpp"
-#include "rr/fault.hpp"
-#include "rr/recorder.hpp"
 #include "rr/replay.hpp"
 
 namespace psme {
+
+namespace {
+
+// Validates the options, then builds the scheduler the pool runs on: the
+// configured discipline, or under replay the scheduler that releases tasks
+// in recorded order (rr/replay.hpp).
+std::unique_ptr<match::Scheduler> make_pool_scheduler(
+    const EngineOptions& options) {
+  if (options.match_processes < 1)
+    throw std::invalid_argument(
+        "ParallelEngine requires at least one match process");
+  if (options.memory != match::MemoryStrategy::Hash)
+    throw std::invalid_argument(
+        "the parallel matcher uses the global hash-table memories (vs2)");
+  if (options.rr_replay)
+    return rr::make_replay_scheduler(options.rr_replay,
+                                     options.match_processes + 1);
+  return match::make_scheduler(options.scheduler, options.task_queues,
+                               options.match_processes + 1,
+                               options.steal_deque_capacity);
+}
+
+}  // namespace
 
 ParallelEngine::ParallelEngine(const ops5::Program& program,
                                EngineOptions options)
     : EngineBase(program, options),
       left_table_(options_.hash_buckets),
       right_table_(options_.hash_buckets),
+      world_{&left_table_, &right_table_, nullptr, &cs_},
+      arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0))),
       // Lock count follows the table's rounded (power-of-two) line count,
       // not the requested bucket count: line_of() indexes the rounded
       // space, and a non-power-of-two request would otherwise leave lines
       // without locks.
-      line_locks_(left_table_.size(), options_.lock_scheme),
-      sched_(match::make_scheduler(options_.scheduler, options_.task_queues,
-                                   options_.match_processes + 1,
-                                   options_.steal_deque_capacity)) {
-  if (options_.match_processes < 1)
-    throw std::invalid_argument(
-        "ParallelEngine requires at least one match process");
-  if (options_.memory != match::MemoryStrategy::Hash)
-    throw std::invalid_argument(
-        "the parallel matcher uses the global hash-table memories (vs2)");
-  // Replay: swap the configured discipline for the scheduler that releases
-  // tasks in recorded order (rr/replay.hpp).
-  if (options_.rr_replay)
-    sched_ = rr::make_replay_scheduler(options_.rr_replay,
-                                       options_.match_processes + 1);
-  world_.left_table = &left_table_;
-  world_.right_table = &right_table_;
-  world_.conflict_set = &cs_;
-}
+      pool_(*network_, options_.match_vm ? &network_->code() : nullptr,
+            options_.match_processes, make_pool_scheduler(options_),
+            left_table_.size(), options_.lock_scheme,
+            {{&world_, arenas_.data(), 0}},
+            {options_.rr_record, options_.rr_faults, options_.obs}) {}
 
-ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    shutdown_.store(true, std::memory_order_release);
-    active_.store(false, std::memory_order_release);
-  }
-  pool_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-}
+ParallelEngine::~ParallelEngine() = default;
 
-void ParallelEngine::begin_run() {
-  ++runs_started_;
-  if (workers_.empty()) {
-    for (int i = 0; i < options_.match_processes; ++i)
-      workers_.push_back(std::make_unique<Worker>());
-    for (int i = 0; i < options_.match_processes; ++i) {
-      workers_[i]->thread = std::thread([this, i] { worker_main(i); });
-      ++thread_spawns_;
-    }
-  }
-  if (options_.obs) {
-    // Worker i records into observability stream i+1; the control thread
-    // (root pushes, stats_.match) is stream 0.
-    options_.obs->trace.enable(options_.match_processes + 1, "wall");
-    options_.obs->attach_worker(stats_.match, 0);
-    for (int i = 0; i < options_.match_processes; ++i)
-      options_.obs->attach_worker(workers_[i]->stats, i + 1);
-    trace_epoch_ = std::chrono::steady_clock::now();
-  }
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    active_.store(true, std::memory_order_release);
-  }
-  pool_cv_.notify_all();
-}
+void ParallelEngine::begin_run() { pool_.begin_run(stats_.match); }
 
-void ParallelEngine::end_run() {
-  active_.store(false, std::memory_order_release);
-  // Wait for every worker to park, so their stats are quiescent to merge
-  // (the task queues are already drained — run() reached quiescence).
-  {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    pool_cv_.wait(lk, [this] {
-      return parked_ == static_cast<int>(workers_.size());
-    });
-  }
-  for (auto& w : workers_) {
-    stats_.match.merge(w->stats);
-    w->stats = MatchStats{};  // shard pointers re-wired at next begin_run
-  }
-}
+void ParallelEngine::end_run() { pool_.end_run(stats_.match); }
 
 void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {
   if (!phase_open_) {
@@ -103,22 +61,14 @@ void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {
   root.kind = match::TaskKind::Root;
   root.sign = sign;
   root.wme = wme;
-  sched_->push(root, static_cast<unsigned>(options_.match_processes),
-               stats_.match);
+  pool_.scheduler().push(root, pool_.control_ep(), stats_.match);
 }
 
 void ParallelEngine::wait_quiescent() {
   // All of the phase's root pushes are in: arm the replayer's
   // stuck-schedule detection.
   if (options_.rr_replay) options_.rr_replay->phase_pushed();
-  std::uint32_t spins = 0;
-  while (!sched_->phase_complete()) {
-    SpinLock::cpu_relax();
-    if (++spins >= 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
+  pool_.wait_quiescent();
   if (phase_open_) {
     phase_open_ = false;
     stats_.match_seconds +=
@@ -126,245 +76,6 @@ void ParallelEngine::wait_quiescent() {
                                       phase_start_)
             .count();
   }
-}
-
-void ParallelEngine::worker_main(int index) {
-  Worker& w = *workers_[static_cast<std::size_t>(index)];
-  match::MatchContext ctx;
-  ctx.strategy = match::MemoryStrategy::Hash;
-  ctx.arena = &w.arena;
-  ctx.stats = &w.stats;
-  if (options_.match_vm) ctx.code = &network_->code();
-
-  std::vector<match::Task> emit_buf;
-  const unsigned ep = static_cast<unsigned>(index);
-  for (;;) {
-    {
-      // Park between runs; begin_run() wakes the pool.
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      ++parked_;
-      pool_cv_.notify_all();
-      pool_cv_.wait(lk, [this] {
-        return active_.load(std::memory_order_acquire) ||
-               shutdown_.load(std::memory_order_acquire);
-      });
-      --parked_;
-      if (shutdown_.load(std::memory_order_acquire)) return;
-    }
-    std::uint32_t idle = 0;
-    while (active_.load(std::memory_order_acquire) &&
-           !shutdown_.load(std::memory_order_acquire)) {
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->worker_dead(ep)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (const std::uint32_t us = faults->stall(ep))
-          std::this_thread::sleep_for(std::chrono::microseconds(us));
-        if (faults->fail_pop(ep)) {
-          SpinLock::cpu_relax();
-          continue;
-        }
-      }
-      match::Task task;
-      if (!sched_->try_pop(&task, ep, w.stats)) {
-        // Idle: between phases, or starved. Back off politely so the
-        // control thread (and, on small hosts, other match processes) can
-        // run.
-        if (++idle >= 16) {
-          std::this_thread::yield();
-        } else {
-          SpinLock::cpu_relax();
-        }
-        continue;
-      }
-      idle = 0;
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->drop_requeue(ep)) {
-          sched_->requeue(task, ep, w.stats);
-          continue;
-        }
-        if (faults->lose_task(ep)) {
-          sched_->task_done();  // the bug: discarded but counted done
-          continue;
-        }
-      }
-      execute_task(ctx, world_, task, emit_buf, ep, w.stats, index + 1);
-    }
-  }
-}
-
-void ParallelEngine::execute_task(match::MatchContext& ctx,
-                                  match::WorldContext& world,
-                                  const match::Task& task,
-                                  std::vector<match::Task>& emit_buf,
-                                  unsigned ep, MatchStats& stats,
-                                  int worker) {
-  obs::TraceRecorder* tracer =
-      options_.obs && options_.obs->trace.enabled() ? &options_.obs->trace
-                                                    : nullptr;
-  double ts0 = 0;
-  std::uint64_t line0 = 0, queue0 = 0;
-  if (tracer) {
-    ts0 = trace_now_us();
-    line0 = stats.line_probes[0] + stats.line_probes[1];
-    queue0 = stats.queue_probes;
-  }
-  // Stamps one complete event covering the task just processed (including
-  // the emission pushes) with the lock probes it accrued.
-  auto record = [&](obs::TraceEventKind kind) {
-    obs::TraceEvent ev;
-    ev.ts_us = ts0;
-    ev.dur_us = trace_now_us() - ts0;
-    ev.kind = kind;
-    ev.sign = task.sign;
-    ev.node = obs::trace_node_of(task);
-    ev.line_probes = static_cast<std::uint32_t>(
-        stats.line_probes[0] + stats.line_probes[1] - line0);
-    ev.queue_probes =
-        static_cast<std::uint32_t>(stats.queue_probes - queue0);
-    tracer->record(worker, ev);
-  };
-  auto record_requeue = [&] {
-    if (tracer) record(obs::trace_requeue_kind_of(task));
-  };
-  // DelayLockRelease fault: dawdle while still holding a just-acquired
-  // hash-line lock.
-  auto lock_delay = [&] {
-    if (!options_.rr_faults) return;
-    if (const std::uint32_t us = options_.rr_faults->lock_delay(ep))
-      std::this_thread::sleep_for(std::chrono::microseconds(us));
-  };
-
-  // Record/replay: join tasks are logged at their commit point — while the
-  // line lock that orders them against conflicting activations is still
-  // held — so the log order is a valid serialization. (Completion order is
-  // not: a worker descheduled between releasing its line and logging lets
-  // a later lock epoch log first, and a replay serialized in that inverted
-  // order probes an opposite memory the original update hadn't reached.)
-  auto rr_commit = [&] {
-    if (options_.rr_record) options_.rr_record->on_commit(ep, task);
-  };
-
-  emit_buf.clear();
-  switch (task.kind) {
-    case match::TaskKind::Root:
-      match::process_root(ctx, world, *network_, task, emit_buf);
-      break;
-    case match::TaskKind::Terminal:
-      match::process_terminal(ctx, world, task);
-      break;
-    case match::TaskKind::JoinLeft:
-    case match::TaskKind::JoinRight: {
-      // One task_hash per task: the hash that picked the line is handed to
-      // the update phase instead of being re-derived there.
-      const std::uint64_t hash = match::task_hash(task);
-      const std::uint32_t line = left_table_.line_of(hash);
-      const Side side = task.side();
-      if (line_locks_.scheme() == match::LockScheme::Simple) {
-        line_locks_.lock_exclusive(line, side, stats);
-        match::process_join(ctx, world, task, emit_buf, nullptr, &hash);
-        rr_commit();
-        lock_delay();
-        line_locks_.unlock_exclusive(line);
-        break;
-      }
-      if (line_locks_.scheme() == match::LockScheme::Seqlock) {
-        // Optimistic scheme: probe the opposite memory with no lock held,
-        // then validate the line's sequence under the writer lock before
-        // applying the memory update (kernel.hpp, SpecProbe). Negative
-        // nodes mutate opposite-side entries, so they run fully locked.
-        if (task.join->kind == rete::JoinKind::Negative) {
-          line_locks_.lock_writer(line, side, stats);
-          match::process_join(ctx, world, task, emit_buf, nullptr, &hash);
-          rr_commit();
-          lock_delay();
-          line_locks_.unlock_writer(line);
-          break;
-        }
-        std::uint32_t retries = 0;
-        bool committed = false;
-        while (!committed && retries <= match::kSeqlockMaxRetries) {
-          emit_buf.clear();
-          const std::uint32_t s0 = line_locks_.seq_begin(line);
-          match::SpecProbe spec;
-          match::speculate_join_probe(ctx, world, task, hash, emit_buf, spec);
-          if (!line_locks_.try_writer_commit(line, s0, side, stats)) {
-            ++retries;
-            continue;
-          }
-          const match::MemUpdate update =
-              match::process_join_update(ctx, world, task, nullptr, &hash);
-          if (update.outcome == match::MemUpdate::Outcome::Inserted ||
-              update.outcome == match::MemUpdate::Outcome::Removed) {
-            match::commit_spec_probe(ctx, task, spec);
-          } else {
-            emit_buf.clear();  // annihilated/parked: no probe happens
-          }
-          rr_commit();
-          lock_delay();
-          line_locks_.unlock_writer(line);
-          committed = true;
-        }
-        if (!committed) {
-          // Retry budget exhausted on a pathologically hot line: run the
-          // whole activation under the writer lock, like Simple would.
-          stats.seq_fallbacks += 1;
-          emit_buf.clear();
-          line_locks_.lock_writer(line, side, stats);
-          match::process_join(ctx, world, task, emit_buf, nullptr, &hash);
-          rr_commit();
-          lock_delay();
-          line_locks_.unlock_writer(line);
-        }
-        stats.seq_retries += retries;
-        if (stats.seq_retry_hist) stats.seq_retry_hist->record(retries);
-        break;
-      }
-      // MRSW scheme.
-      if (task.join->kind == rete::JoinKind::Negative) {
-        if (!line_locks_.try_enter_exclusive(line, side, stats)) {
-          sched_->requeue(task, ep, stats);
-          record_requeue();
-          return;  // task still counted in TaskCount
-        }
-        match::process_join(ctx, world, task, emit_buf, nullptr, &hash);
-        rr_commit();
-        lock_delay();
-        line_locks_.leave_exclusive(line);
-        break;
-      }
-      if (!line_locks_.try_enter(line, side, stats)) {
-        sched_->requeue(task, ep, stats);
-        record_requeue();
-        return;
-      }
-      line_locks_.lock_modification(line, side, stats);
-      const match::MemUpdate update =
-          match::process_join_update(ctx, world, task, nullptr, &hash);
-      // The memory update is what conflicting opposite-side tasks observe;
-      // the probe after unlock only reads the already-frozen opposite side.
-      rr_commit();
-      lock_delay();
-      line_locks_.unlock_modification(line);
-      match::process_join_probe(ctx, world, task, update, emit_buf);
-      line_locks_.leave(line);
-      break;
-    }
-  }
-  // Root and Terminal tasks commute (roots only read shared state,
-  // terminals serialize on the conflict set's own lock), so logging them
-  // here — before their emissions are published, keeping the log causal —
-  // is still a valid serialization.
-  if (task.kind == match::TaskKind::Root ||
-      task.kind == match::TaskKind::Terminal)
-    rr_commit();
-  // Batched handoff: all emissions of this task are published in one
-  // scheduler operation (a single release store in the steal discipline).
-  sched_->push_batch(emit_buf.data(), emit_buf.size(), ep, stats);
-  stats.tasks_executed += 1;
-  sched_->task_done();
-  if (tracer) record(obs::trace_kind_of(task.kind));
 }
 
 }  // namespace psme

@@ -1,36 +1,23 @@
 // PSM-E's threaded engine: one control process (the caller's thread) plus
-// k match processes (std::thread), cooperating through shared memory
-// exactly as in Section 3 of the paper:
+// k match processes sharing one Rete network, global left/right token hash
+// tables with per-line locks, a task scheduler and a TaskCount counter
+// (Section 3 of the paper). The control process pushes root tokens *while
+// still evaluating the RHS*, so match pipelines with RHS evaluation.
 //
-//  - a single shared Rete network;
-//  - global left/right token hash tables with per-line locks (Simple or
-//    MRSW scheme);
-//  - a task scheduler: the paper's central spin-locked queues, or
-//    per-worker lock-free deques with work stealing
-//    (EngineOptions::scheduler; see match/scheduler.hpp);
-//  - a TaskCount counter for match-phase termination;
-//  - the control process pushes root tokens *while still evaluating the
-//    RHS*, so match pipelines with RHS evaluation.
-//
-// Match processes are spawned once, on the first begin_run(), and then
-// parked on a condition variable between runs: end_run() quiesces and
-// parks them, the next begin_run() wakes them. (The paper spawned and
-// killed per run; under the serving layer per-request thread creation
-// dominates latency, and the persistent pool also keeps worker token
-// arenas alive across runs, which the persistent hash-table memories
-// require when working memory carries over.) threads_spawned() exposes
-// the pool's creation count so tests can assert reuse.
+// The match processes are the shared threaded executor (match::WorkerPool
+// in match/worker_pool.hpp: worker loop, line-lock join dispatch, rr /
+// fault / trace hooks) over the engine's one world. This class adds the
+// EngineBase control loop: root pushes, the quiescence barrier, phase
+// timing, and the replay scheduler. The pool's workers persist across
+// runs, and so do their token arenas, which the persistent hash-table
+// memories need when working memory carries over.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <vector>
 
 #include "engine/engine_base.hpp"
-#include "match/line_locks.hpp"
-#include "match/scheduler.hpp"
+#include "match/worker_pool.hpp"
 
 namespace psme {
 
@@ -45,8 +32,8 @@ class ParallelEngine : public EngineBase {
   // Pool lifetime counters: threads created so far, and runs started.
   // threads_spawned() stays at match_processes however many runs execute —
   // the thread-reuse guarantee the serving layer depends on.
-  std::uint64_t threads_spawned() const { return thread_spawns_; }
-  std::uint64_t runs_started() const { return runs_started_; }
+  std::uint64_t threads_spawned() const { return pool_.threads_spawned(); }
+  std::uint64_t runs_started() const { return pool_.runs_started(); }
 
  protected:
   void submit_change(const Wme* wme, std::int8_t sign) override;
@@ -55,46 +42,13 @@ class ParallelEngine : public EngineBase {
   void end_run() override;
 
  private:
-  struct Worker {
-    match::BumpArena arena;
-    MatchStats stats;
-    std::thread thread;
-  };
-
-  void worker_main(int index);
-  // Executes one popped task with the appropriate locking; pushes emissions
-  // through scheduler endpoint `ep`. `worker` is the observability stream
-  // (0 control, 1..k match processes).
-  void execute_task(match::MatchContext& ctx, match::WorldContext& world,
-                    const match::Task& task,
-                    std::vector<match::Task>& emit_buf, unsigned ep,
-                    MatchStats& stats, int worker);
-  double trace_now_us() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - trace_epoch_)
-        .count();
-  }
-
   match::HashTokenTable left_table_;
   match::HashTokenTable right_table_;
   match::WorldContext world_;  // the engine's single world
-  match::LineLocks line_locks_;
-  // Scheduler endpoints: worker i -> i, control thread -> match_processes.
-  std::unique_ptr<match::Scheduler> sched_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<bool> shutdown_{false};
-  // Pool parking: workers spin on `active_` while a run is live and wait
-  // on `pool_cv_` between runs; `parked_` counts waiters (under pool_mu_).
-  std::atomic<bool> active_{false};
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  int parked_ = 0;
-  std::uint64_t thread_spawns_ = 0;
-  std::uint64_t runs_started_ = 0;
-  match::BumpArena control_arena_;  // for the control thread (unused by
-                                    // root tasks but required by contexts)
+  std::vector<match::BumpArena> arenas_;  // one per match process
+  // Declared after the state its workers use: its destructor joins them.
+  match::WorkerPool pool_;
   std::chrono::steady_clock::time_point phase_start_;
-  std::chrono::steady_clock::time_point trace_epoch_;  // ts 0 of the trace
   bool phase_open_ = false;
 };
 

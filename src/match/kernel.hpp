@@ -1,11 +1,10 @@
 // The semantic core of the matcher, shared by every engine.
 //
 // These functions implement exactly one node activation each, with explicit
-// locking preconditions instead of internal locks, so the four drivers —
-// the sequential token loop, the threaded worker loop (real spin locks),
-// the Multimax simulator (virtual-time locks), and the multi-world batch
-// engine — execute the *same* match semantics and can only differ in
-// scheduling.
+// locking preconditions instead of internal locks, so the drivers — the
+// sequential token loops, the threaded executor (match/worker_pool.hpp,
+// real spin locks), and the Multimax simulator (virtual-time locks) —
+// execute the *same* match semantics and can only differ in scheduling.
 //
 // State is split along the world axis (src/world/):
 //  - MatchContext is per-WORKER: the memory strategy, the worker's token
@@ -15,17 +14,17 @@
 //    the BatchEngine resolves one per task from Task::world.
 //
 // Locking contract (hash backend, parallel drivers):
-//  - line_of() gives the line a Join task will touch within its world; the
-//    driver must hold that line before calling process_join (simple
-//    scheme), or hold the line in side mode + the modification lock around
-//    the memory-update phase (MRSW scheme, via process_join_update /
-//    process_join_probe), or run the optimistic Seqlock protocol
-//    (speculate_join_probe with no lock held, then
+//  - HashTokenTable::line_of(task_hash(task)) is the line a Join task will
+//    touch within its world; the driver must hold that line before calling
+//    process_join (simple scheme), or hold the line in side mode + the
+//    modification lock around the memory-update phase (MRSW scheme, via
+//    process_join_update / process_join_probe), or run the optimistic
+//    Seqlock protocol (speculate_join_probe with no lock held, then
 //    LineLocks::try_writer_commit + process_join_update +
 //    commit_spec_probe under the writer lock — see SpecProbe below).
-//    Batched drivers must fold Task::world into the
-//    lock index — tasks from different worlds never share memory, but may
-//    share a lock (false sharing is allowed; false non-sharing is not).
+//    Batched drivers must fold Task::world into the lock index — tasks
+//    from different worlds never share memory, but may share a lock
+//    (false sharing is allowed; false non-sharing is not).
 //  - Root and Terminal tasks touch no line.
 //
 // Sequential drivers call the same entry points with no locks held.
@@ -92,9 +91,6 @@ struct ActivationCost {
 // the same task hashes identically in every world (rr fingerprints and
 // the committed layout fixtures depend on this).
 std::uint64_t task_hash(const Task& task);
-inline std::uint32_t line_of(const Task& task, const HashTokenTable& table) {
-  return table.line_of(task_hash(task));
-}
 
 // --- Full activations (line held exclusively, or sequential) -------------
 

@@ -142,8 +142,9 @@ class ListMemories {
 // Bump allocator for tokens and entries. Allocations live for the whole run
 // (matcher state persists across cycles); everything is reclaimed when the
 // arena dies. Each worker owns its own arena, so allocation never
-// synchronizes between match processes.
-class BumpArena {
+// synchronizes between match processes; arenas are cache-line aligned so
+// per-worker arenas stored side by side never false-share.
+class alignas(64) BumpArena {
  public:
   // Flat-token allocation: header plus the inline `const Wme*[len]` array
   // in one variable-length block. The parent's prefix is copied by memcpy;

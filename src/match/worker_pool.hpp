@@ -1,0 +1,118 @@
+// The threaded executor, PSM-E's one match protocol (Section 3): k match
+// processes pop tasks, take hash-line locks around each join activation,
+// and count TaskCount down. ParallelEngine drives it over its one world;
+// world::BatchEngine's threaded mode over all of its worlds, resolving each
+// task's world from Task::world. (SimEngine keeps a coroutine copy of the
+// dispatch that charges virtual time at every step.)
+//
+// The rr::Recorder, rr::FaultInjector and obs::Observability hooks are
+// optional and fixed at construction; each is a null check on the task
+// path.
+#pragma once
+
+#include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "match/kernel.hpp"
+#include "match/line_locks.hpp"
+#include "match/scheduler.hpp"
+
+namespace psme::obs {
+class TraceRecorder;
+struct Observability;
+}  // namespace psme::obs
+namespace psme::rr {
+class Recorder;
+class FaultInjector;
+}  // namespace psme::rr
+
+namespace psme::match {
+
+// One world a pool executes tasks for, addressed by Task::world.
+struct PoolWorld {
+  WorldContext* ctx = nullptr;
+  // One token arena per worker endpoint, so allocation never synchronizes.
+  BumpArena* arenas = nullptr;
+  // A join task's lock line is its bucket line XOR this salt, which must
+  // keep lines below the lock count. Any salt is sound: one (world, bucket)
+  // always maps to one lock. Batched drivers salt each world differently
+  // so equal buckets of different worlds spread over the shared locks.
+  std::uint32_t lock_salt = 0;
+};
+
+// Runs one popped task — Root, Terminal, or a join under the Simple,
+// Seqlock or MRSW line-lock protocol — then publishes its emissions through
+// scheduler endpoint `ep` and counts it done. Statistics go to *ctx.stats;
+// trace events (if `trace`) to stream ep + 1.
+void execute_task(MatchContext& ctx, WorldContext& world,
+                  const rete::Network& net, Scheduler& sched,
+                  LineLocks& locks, const Task& task,
+                  std::uint32_t lock_salt, std::vector<Task>& emit_buf,
+                  unsigned ep, rr::Recorder* record,
+                  rr::FaultInjector* faults, obs::TraceRecorder* trace);
+
+// The match processes, plus the scheduler and line locks they share.
+// Workers are spawned on the first begin_run() and parked between runs:
+// per-run thread creation would dominate serving latency.
+class WorkerPool {
+ public:
+  struct Hooks {
+    rr::Recorder* record = nullptr;
+    rr::FaultInjector* faults = nullptr;
+    obs::Observability* obs = nullptr;
+  };
+
+  // Worker i uses scheduler endpoint i; the control thread uses
+  // control_ep() == workers. `code` null runs the interpreted test walk.
+  WorkerPool(const rete::Network& net, const rete::CodeStore* code,
+             int workers, std::unique_ptr<Scheduler> sched,
+             std::uint32_t lock_lines, LockScheme scheme,
+             std::vector<PoolWorld> worlds, Hooks hooks);
+  ~WorkerPool();
+
+  Scheduler& scheduler() { return *sched_; }
+  unsigned control_ep() const { return static_cast<unsigned>(workers_.size()); }
+
+  // Wakes the workers. With an Observability hook, first re-arms its trace
+  // (stream 0 = control, 1..k = workers) and attaches `control_stats` and
+  // the workers' statistics to it.
+  void begin_run(MatchStats& control_stats);
+  // Spins until the scheduler's TaskCount reaches zero.
+  void wait_quiescent() const;
+  // Parks the workers and merges their statistics into `into`.
+  void end_run(MatchStats& into);
+
+  std::uint64_t threads_spawned() const { return thread_spawns_; }
+  std::uint64_t runs_started() const { return runs_started_; }
+
+ private:
+  struct Worker {
+    MatchStats stats;
+    std::thread thread;
+  };
+
+  void worker_main(unsigned ep);
+
+  const rete::Network& net_;
+  const rete::CodeStore* code_;
+  std::unique_ptr<Scheduler> sched_;
+  LineLocks locks_;
+  std::vector<PoolWorld> worlds_;
+  Hooks hooks_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  // Workers spin on `active_` during a run and wait on `cv_` between runs;
+  // `parked_` counts the waiters (under mu_).
+  std::atomic<bool> active_{false};
+  std::atomic<bool> shutdown_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  std::uint64_t thread_spawns_ = 0;
+  std::uint64_t runs_started_ = 0;
+};
+
+}  // namespace psme::match

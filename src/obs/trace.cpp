@@ -24,6 +24,7 @@ void TraceRecorder::enable(int num_workers, std::string clock) {
   for (int i = 0; i < num_workers; ++i)
     buffers_.push_back(std::make_unique<WorkerBuffer>());
   clock_ = std::move(clock);
+  epoch_ = std::chrono::steady_clock::now();
 }
 
 std::size_t TraceRecorder::event_count() const {

@@ -15,6 +15,7 @@
 // the schema).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -52,6 +53,12 @@ class TraceRecorder {
   void enable(int num_workers, std::string clock);
   bool enabled() const { return !buffers_.empty(); }
   const std::string& clock() const { return clock_; }
+  // Wall-clock drivers' timestamps: microseconds since the last enable().
+  double wall_us() const {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
 
   void record(int worker, const TraceEvent& ev) {
     if (buffers_.empty()) return;
@@ -75,6 +82,7 @@ class TraceRecorder {
   };
   std::vector<std::unique_ptr<WorkerBuffer>> buffers_;
   std::string clock_;
+  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace psme::obs

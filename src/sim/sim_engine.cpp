@@ -394,9 +394,9 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
   const CostModel& cm = config_.cost;
 
   // Record/replay: join tasks commit while the serializing line lock is
-  // still held, so the log order is a valid serialization (see the
-  // threaded engine's execute_task for the full argument — coroutine
-  // interleaving at co_await points creates the same epoch inversion).
+  // still held, so the log order is a valid serialization (see
+  // match::execute_task for the full argument — coroutine interleaving at
+  // co_await points creates the same epoch inversion).
   auto rr_commit = [&] {
     if (options_.rr_record) options_.rr_record->on_commit(w.id, task);
   };

@@ -3,9 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
-#include "common/spinlock.hpp"
 #include "common/symbol_table.hpp"
-#include "obs/metrics.hpp"
 #include "ops5/parser.hpp"
 #include "rr/digest.hpp"
 #include "rr/fault.hpp"
@@ -47,34 +45,33 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
   if (options_.match_processes < 0)
     throw std::invalid_argument("BatchEngine: negative match_processes");
   if (options_.match_vm) code_ = &pool_.network().code();
-  control_ep_ = static_cast<unsigned>(options_.match_processes);
   if (options_.match_processes > 0) {
-    sched_ = match::make_scheduler(options_.scheduler, options_.task_queues,
-                                   options_.match_processes + 1,
-                                   options_.steal_deque_capacity);
     // Shared lock space across worlds: at least the per-world line count,
     // widened up to 8x as worlds grow so same-bucket-different-world
-    // false sharing stays rare. Power-of-two by construction.
+    // false sharing stays rare. Power-of-two by construction, so a salt
+    // below the lock count keeps every line in range.
     const std::uint32_t lines = pool_.world(0).left_table->size();
-    const std::uint32_t mult = std::min<std::uint32_t>(
-        std::bit_ceil(std::max(1u, pool_.size())), 8u);
-    line_locks_ = std::make_unique<match::LineLocks>(lines * mult,
-                                                     options_.lock_scheme);
-    lock_mask_ = lines * mult - 1;
+    const std::uint32_t locks =
+        lines * std::min<std::uint32_t>(
+                    std::bit_ceil(std::max(1u, pool_.size())), 8u);
+    std::vector<match::PoolWorld> worlds;
+    for (std::uint32_t i = 0; i < pool_.size(); ++i) {
+      World& w = pool_.world(i);
+      const std::uint64_t h = (std::uint64_t{i} + 1) * 0x9e3779b97f4a7c15ull;
+      worlds.push_back({&w.ctx, w.arenas.data(),
+                        static_cast<std::uint32_t>(h >> 32) & (locks - 1)});
+    }
+    workers_ = std::make_unique<match::WorkerPool>(
+        pool_.network(), code_, options_.match_processes,
+        match::make_scheduler(options_.scheduler, options_.task_queues,
+                              options_.match_processes + 1,
+                              options_.steal_deque_capacity),
+        locks, options_.lock_scheme, std::move(worlds),
+        match::WorkerPool::Hooks{nullptr, options_.rr_faults, options_.obs});
   }
 }
 
-BatchEngine::~BatchEngine() {
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    shutdown_.store(true, std::memory_order_release);
-    active_.store(false, std::memory_order_release);
-  }
-  pool_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-}
+BatchEngine::~BatchEngine() = default;
 
 const Wme* BatchEngine::make(std::uint32_t wi, std::string_view wme_literal) {
   const ops5::WmeLiteral lit = ops5::parse_wme_literal(wme_literal);
@@ -116,12 +113,12 @@ void BatchEngine::submit_change(World& w, const Wme* wme, std::int8_t sign) {
   root.sign = sign;
   root.world = w.id;
   root.wme = wme;
-  if (options_.match_processes == 0) {
+  if (!workers_) {
     w.inline_queue.push_back(root);
     drain_world_queue(w);
     return;
   }
-  sched_->push(root, control_ep_, w.stats.match);
+  workers_->scheduler().push(root, workers_->control_ep(), w.stats.match);
 }
 
 void BatchEngine::drain_world_queue(World& w) {
@@ -138,213 +135,6 @@ void BatchEngine::drain_world_queue(World& w) {
     for (const match::Task& t : w.emit_buf) w.inline_queue.push_back(t);
     w.stats.match.tasks_executed += 1;
   }
-}
-
-void BatchEngine::wait_all_quiescent() {
-  if (options_.match_processes == 0) return;  // inline drains eagerly
-  std::uint32_t spins = 0;
-  while (!sched_->phase_complete()) {
-    SpinLock::cpu_relax();
-    if (++spins >= 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-}
-
-void BatchEngine::begin_run() {
-  if (options_.match_processes == 0) return;
-  if (workers_.empty()) {
-    for (int i = 0; i < options_.match_processes; ++i)
-      workers_.push_back(std::make_unique<Worker>());
-    for (int i = 0; i < options_.match_processes; ++i) {
-      workers_[static_cast<std::size_t>(i)]->thread =
-          std::thread([this, i] { worker_main(i); });
-      ++thread_spawns_;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    active_.store(true, std::memory_order_release);
-  }
-  pool_cv_.notify_all();
-}
-
-void BatchEngine::end_run() {
-  if (options_.match_processes == 0) return;
-  active_.store(false, std::memory_order_release);
-  {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    pool_cv_.wait(lk, [this] {
-      return parked_ == static_cast<int>(workers_.size());
-    });
-  }
-  for (auto& w : workers_) {
-    batch_match_stats_.merge(w->stats);
-    w->stats = MatchStats{};
-  }
-}
-
-void BatchEngine::worker_main(int index) {
-  Worker& wk = *workers_[static_cast<std::size_t>(index)];
-  match::MatchContext ctx;
-  ctx.strategy = match::MemoryStrategy::Hash;
-  ctx.code = code_;
-  ctx.stats = &wk.stats;
-  std::vector<match::Task> emit_buf;
-  const unsigned ep = static_cast<unsigned>(index);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      ++parked_;
-      pool_cv_.notify_all();
-      pool_cv_.wait(lk, [this] {
-        return active_.load(std::memory_order_acquire) ||
-               shutdown_.load(std::memory_order_acquire);
-      });
-      --parked_;
-      if (shutdown_.load(std::memory_order_acquire)) return;
-    }
-    std::uint32_t idle = 0;
-    while (active_.load(std::memory_order_acquire) &&
-           !shutdown_.load(std::memory_order_acquire)) {
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->worker_dead(ep)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (const std::uint32_t us = faults->stall(ep))
-          std::this_thread::sleep_for(std::chrono::microseconds(us));
-        if (faults->fail_pop(ep)) {
-          SpinLock::cpu_relax();
-          continue;
-        }
-      }
-      match::Task task;
-      if (!sched_->try_pop(&task, ep, wk.stats)) {
-        if (++idle >= 16) {
-          std::this_thread::yield();
-        } else {
-          SpinLock::cpu_relax();
-        }
-        continue;
-      }
-      idle = 0;
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->drop_requeue(ep)) {
-          sched_->requeue(task, ep, wk.stats);
-          continue;
-        }
-        if (faults->lose_task(ep)) {
-          sched_->task_done();  // the bug: discarded but counted done
-          continue;
-        }
-      }
-      execute_task(ctx, task, emit_buf, ep, wk.stats);
-    }
-  }
-}
-
-void BatchEngine::execute_task(match::MatchContext& ctx,
-                               const match::Task& task,
-                               std::vector<match::Task>& emit_buf,
-                               unsigned ep, MatchStats& stats) {
-  World& w = pool_.world(task.world);
-  // The (world, worker) arena: race-free without synchronization, and
-  // every allocation is attributable to exactly one world.
-  ctx.arena = &w.arenas[ep];
-  emit_buf.clear();
-  switch (task.kind) {
-    case match::TaskKind::Root:
-      match::process_root(ctx, w.ctx, pool_.network(), task, emit_buf);
-      break;
-    case match::TaskKind::Terminal:
-      match::process_terminal(ctx, w.ctx, task);
-      break;
-    case match::TaskKind::JoinLeft:
-    case match::TaskKind::JoinRight: {
-      const std::uint64_t hash = match::task_hash(task);
-      const std::uint32_t line =
-          lock_line_of(w.left_table->line_of(hash), task.world);
-      const Side side = task.side();
-      if (line_locks_->scheme() == match::LockScheme::Simple) {
-        line_locks_->lock_exclusive(line, side, stats);
-        match::process_join(ctx, w.ctx, task, emit_buf, nullptr, &hash);
-        line_locks_->unlock_exclusive(line);
-        break;
-      }
-      if (line_locks_->scheme() == match::LockScheme::Seqlock) {
-        // Optimistic probe + commit-time validation, as in
-        // ParallelEngine::execute_task. The lock line is shared across
-        // worlds (lock_line_of mixes the world id in), so a retry may be
-        // triggered by another world's commit on the same line — a false
-        // conflict, never a missed one: every writer of THIS world's
-        // bucket maps to this same line.
-        if (task.join->kind == rete::JoinKind::Negative) {
-          line_locks_->lock_writer(line, side, stats);
-          match::process_join(ctx, w.ctx, task, emit_buf, nullptr, &hash);
-          line_locks_->unlock_writer(line);
-          break;
-        }
-        std::uint32_t retries = 0;
-        bool committed = false;
-        while (!committed && retries <= match::kSeqlockMaxRetries) {
-          emit_buf.clear();
-          const std::uint32_t s0 = line_locks_->seq_begin(line);
-          match::SpecProbe spec;
-          match::speculate_join_probe(ctx, w.ctx, task, hash, emit_buf, spec);
-          if (!line_locks_->try_writer_commit(line, s0, side, stats)) {
-            ++retries;
-            continue;
-          }
-          const match::MemUpdate update =
-              match::process_join_update(ctx, w.ctx, task, nullptr, &hash);
-          if (update.outcome == match::MemUpdate::Outcome::Inserted ||
-              update.outcome == match::MemUpdate::Outcome::Removed) {
-            match::commit_spec_probe(ctx, task, spec);
-          } else {
-            emit_buf.clear();  // annihilated/parked: no probe happens
-          }
-          line_locks_->unlock_writer(line);
-          committed = true;
-        }
-        if (!committed) {
-          stats.seq_fallbacks += 1;
-          emit_buf.clear();
-          line_locks_->lock_writer(line, side, stats);
-          match::process_join(ctx, w.ctx, task, emit_buf, nullptr, &hash);
-          line_locks_->unlock_writer(line);
-        }
-        stats.seq_retries += retries;
-        if (stats.seq_retry_hist) stats.seq_retry_hist->record(retries);
-        break;
-      }
-      // MRSW scheme (see ParallelEngine::execute_task for the protocol).
-      if (task.join->kind == rete::JoinKind::Negative) {
-        if (!line_locks_->try_enter_exclusive(line, side, stats)) {
-          sched_->requeue(task, ep, stats);
-          return;
-        }
-        match::process_join(ctx, w.ctx, task, emit_buf, nullptr, &hash);
-        line_locks_->leave_exclusive(line);
-        break;
-      }
-      if (!line_locks_->try_enter(line, side, stats)) {
-        sched_->requeue(task, ep, stats);
-        return;
-      }
-      line_locks_->lock_modification(line, side, stats);
-      const match::MemUpdate update =
-          match::process_join_update(ctx, w.ctx, task, nullptr, &hash);
-      line_locks_->unlock_modification(line);
-      match::process_join_probe(ctx, w.ctx, task, update, emit_buf);
-      line_locks_->leave(line);
-      break;
-    }
-  }
-  sched_->push_batch(emit_buf.data(), emit_buf.size(), ep, stats);
-  stats.tasks_executed += 1;
-  sched_->task_done();
 }
 
 void BatchEngine::apply_restored_refraction(World& w) {
@@ -397,7 +187,12 @@ bool BatchEngine::fire_one(World& w) {
 }
 
 void BatchEngine::run_all() {
-  begin_run();
+  // Inline mode drains each change eagerly; the threaded pool quiesces at
+  // one global barrier per round.
+  auto wait_all_quiescent = [this] {
+    if (workers_) workers_->wait_quiescent();
+  };
+  if (workers_) workers_->begin_run(batch_match_stats_);
   // Initial load: every world's pending changes enter the shared stream.
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
     World& w = pool_.world(i);
@@ -436,11 +231,11 @@ void BatchEngine::run_all() {
       capture_digest(w);
     }
   }
-  end_run();
+  if (workers_) workers_->end_run(batch_match_stats_);
 }
 
 RunResult BatchEngine::run_world(std::uint32_t wi) {
-  if (options_.match_processes > 0)
+  if (workers_)
     throw std::logic_error(
         "run_world: single-world runs need inline match "
         "(match_processes == 0); use run_all for the threaded pool");

@@ -12,32 +12,28 @@
 //    worlds touch disjoint state, so the serve layer may run
 //    run_world(a) and run_world(b) concurrently from different threads
 //    (a != b). This is the serving configuration.
-//  - k > 0 (threaded): a ParallelEngine-style parked worker pool executes
-//    the combined task stream of all worlds; run_all() drives every world
-//    through its recognize-act cycles with ONE global quiescence barrier
-//    per batch round instead of one per world per cycle.
+//  - k > 0 (threaded): the threaded executor ParallelEngine also runs
+//    (match::WorkerPool) executes the combined task stream of all worlds;
+//    run_all() drives every world through its recognize-act cycles with
+//    ONE global quiescence barrier per batch round instead of one per
+//    world per cycle. The pool honours the FaultInjector and, with
+//    EngineOptions::obs set, records one trace event per task.
 //
 // Locking (threaded mode): worlds have private hash tables but share one
-// LineLocks array. The lock index mixes the task's bucket line with its
-// world id — two tasks for the same (world, bucket) always collide on the
-// same lock; tasks from different worlds may false-share a lock (harmless)
-// but can never false-NOT-share one.
+// LineLocks array. Each world XORs its own lock salt into its bucket
+// lines (match::PoolWorld), so tasks from different worlds may
+// false-share a lock (harmless) but never false-NOT-share one.
 //
 // Determinism: per-world firing sequences equal a solo SequentialEngine
 // run of the same world (equal conflict sets at quiescence + deterministic
 // conflict resolution); tests/world_equivalence_test.cpp proves it with
-// per-cycle rr digests. Record/replay hooks are not supported here —
-// rr_record/rr_replay on the options are rejected; FaultInjector is
-// honored by the threaded worker loop exactly as in ParallelEngine.
+// per-cycle rr digests. Record/replay hooks are single-world: rr_record /
+// rr_replay on the options are rejected.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <memory>
 
-#include "match/line_locks.hpp"
-#include "match/scheduler.hpp"
+#include "match/worker_pool.hpp"
 #include "world/world.hpp"
 
 namespace psme::world {
@@ -92,59 +88,28 @@ class BatchEngine {
   // Aggregated match-process statistics (threaded mode; valid after
   // run_all). Inline mode accumulates into each world's stats.match.
   const MatchStats& match_stats() const { return batch_match_stats_; }
-  std::uint64_t threads_spawned() const { return thread_spawns_; }
 
  private:
-  struct Worker {
-    MatchStats stats;
-    std::thread thread;
-  };
   // Per-world RhsEffects: routes a production's WM changes back into this
   // engine as (world, root-task) submissions.
   class WorldEffects;
 
   void submit_change(World& w, const Wme* wme, std::int8_t sign);
   void drain_world_queue(World& w);  // inline mode
-  void wait_all_quiescent();
-  void begin_run();
-  void end_run();
-  void worker_main(int index);
-  void execute_task(match::MatchContext& ctx, const match::Task& task,
-                    std::vector<match::Task>& emit_buf, unsigned ep,
-                    MatchStats& stats);
   void apply_restored_refraction(World& w);
   void capture_digest(World& w);
   // One world's recognize-act select+fire; returns false when the world
   // is finished (live cleared, last_reason set).
   bool fire_one(World& w);
 
-  std::uint32_t lock_line_of(std::uint32_t bucket_line,
-                             std::uint32_t world) const {
-    std::uint64_t h =
-        (static_cast<std::uint64_t>(world) << 32) | bucket_line;
-    h *= 0x9e3779b97f4a7c15ull;
-    h ^= h >> 29;
-    return static_cast<std::uint32_t>(h) & lock_mask_;
-  }
-
   EngineOptions options_;
   WorldPool pool_;
   const rete::CodeStore* code_ = nullptr;
   bool digest_capture_ = false;
-
-  // Threaded mode (match_processes > 0).
-  std::unique_ptr<match::Scheduler> sched_;
-  std::unique_ptr<match::LineLocks> line_locks_;
-  std::uint32_t lock_mask_ = 0;
-  unsigned control_ep_ = 0;
-  std::vector<std::unique_ptr<Worker>> workers_;
   MatchStats batch_match_stats_;
-  std::atomic<bool> shutdown_{false};
-  std::atomic<bool> active_{false};
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  int parked_ = 0;
-  std::uint64_t thread_spawns_ = 0;
+  // Threaded mode (match_processes > 0) only. Declared after the worlds
+  // its workers use: its destructor joins them.
+  std::unique_ptr<match::WorkerPool> workers_;
 };
 
 }  // namespace psme::world

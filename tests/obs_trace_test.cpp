@@ -89,9 +89,46 @@ TEST(TraceRecorderTest, OutOfRangeWorkerClampsToLastStream) {
   EXPECT_EQ(per_tid[1], 1);  // past the end -> last stream
 }
 
-// Shared harness: run the tourney workload with an Observability attached
-// and verify the trace agrees with the merged MatchStats — every completed
-// task has exactly one event, and the per-side line-probe sums match.
+// trace_report's cross-checks, in process: every completed task has exactly
+// one event, the per-side line-probe sums match the merged MatchStats, and
+// the traced queue probes are a subset of all queue probes (pushes from
+// the control thread happen outside any task).
+void expect_trace_matches_stats(const Observability& obs,
+                                const MatchStats& stats,
+                                const std::string& clock) {
+  std::ostringstream os;
+  obs.trace.write_json(os);
+  Json parsed;
+  std::string error;
+  ASSERT_TRUE(json_parse(os.str(), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.at("otherData").at("clock").as_string(), clock);
+
+  std::uint64_t completed = 0;
+  std::uint64_t side_probes[2] = {0, 0};
+  std::uint64_t queue_probes = 0;
+  std::uint64_t x_events = 0;
+  for (const Json& ev : parsed.at("traceEvents").as_array()) {
+    if (ev.at("ph").as_string() != "X") continue;
+    x_events += 1;
+    const std::string& name = ev.at("name").as_string();
+    const Json& args = ev.at("args");
+    const auto lp = static_cast<std::uint64_t>(args.number_or("line_probes", 0));
+    queue_probes +=
+        static_cast<std::uint64_t>(args.number_or("queue_probes", 0));
+    if (name == "join_left" || name == "requeue_left") side_probes[0] += lp;
+    if (name == "join_right" || name == "requeue_right") side_probes[1] += lp;
+    if (name != "requeue_left" && name != "requeue_right") completed += 1;
+  }
+  EXPECT_GT(x_events, 0u);
+  EXPECT_EQ(x_events, obs.trace.event_count());
+  EXPECT_EQ(completed, stats.tasks_executed);
+  EXPECT_EQ(side_probes[0], stats.line_probes[0]);
+  EXPECT_EQ(side_probes[1], stats.line_probes[1]);
+  EXPECT_LE(queue_probes, stats.queue_probes);
+}
+
+// Runs the tourney workload with an Observability attached and checks its
+// trace against the run's merged statistics.
 void run_and_check(ExecutionMode mode) {
   const workloads::Workload w = workloads::tourney();
   const auto program = ops5::Program::from_source(w.source);
@@ -109,32 +146,9 @@ void run_and_check(ExecutionMode mode) {
   for (const std::string& wme : w.initial_wmes) engine.make(wme);
   const RunResult result = engine.run();
   ASSERT_GT(result.stats.match.tasks_executed, 0u);
-
-  std::ostringstream os;
-  obs.trace.write_json(os);
-  Json parsed;
-  std::string error;
-  ASSERT_TRUE(json_parse(os.str(), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.at("otherData").at("clock").as_string(),
-            mode == ExecutionMode::SimulatedMultimax ? "virtual" : "wall");
-
-  std::uint64_t completed = 0;
-  std::uint64_t side_probes[2] = {0, 0};
-  std::uint64_t x_events = 0;
-  for (const Json& ev : parsed.at("traceEvents").as_array()) {
-    if (ev.at("ph").as_string() != "X") continue;
-    x_events += 1;
-    const std::string& name = ev.at("name").as_string();
-    const std::uint64_t lp =
-        static_cast<std::uint64_t>(ev.at("args").number_or("line_probes", 0));
-    if (name == "join_left" || name == "requeue_left") side_probes[0] += lp;
-    if (name == "join_right" || name == "requeue_right") side_probes[1] += lp;
-    if (name != "requeue_left" && name != "requeue_right") completed += 1;
-  }
-  EXPECT_EQ(x_events, obs.trace.event_count());
-  EXPECT_EQ(completed, result.stats.match.tasks_executed);
-  EXPECT_EQ(side_probes[0], result.stats.match.line_probes[0]);
-  EXPECT_EQ(side_probes[1], result.stats.match.line_probes[1]);
+  expect_trace_matches_stats(
+      obs, result.stats.match,
+      mode == ExecutionMode::SimulatedMultimax ? "virtual" : "wall");
 }
 
 TEST(TraceEngineTest, ThreadedEngineMatchesStats) {
@@ -143,6 +157,29 @@ TEST(TraceEngineTest, ThreadedEngineMatchesStats) {
 
 TEST(TraceEngineTest, SimulatedEngineMatchesStats) {
   run_and_check(ExecutionMode::SimulatedMultimax);
+}
+
+// Threaded world batches run on the same worker pool, so they get the same
+// per-task trace: one stream per match process, every world's tasks.
+TEST(TraceEngineTest, ThreadedWorldBatchMatchesStats) {
+  const workloads::Workload w = workloads::rubik(6);
+  const auto program = ops5::Program::from_source(w.source);
+
+  Observability obs;
+  EngineOptions opt;
+  opt.worlds = 4;
+  opt.hash_buckets = 64;
+  opt.match_processes = 3;
+  opt.lock_scheme = match::LockScheme::Mrsw;
+  opt.obs = &obs;
+  world::BatchEngine batch(program, opt);
+  for (std::uint32_t i = 0; i < batch.num_worlds(); ++i) {
+    for (const std::string& wme : w.initial_wmes) batch.make(i, wme);
+    batch.set_max_cycles(i, 10);
+  }
+  batch.run_all();
+  ASSERT_GT(batch.match_stats().tasks_executed, 0u);
+  expect_trace_matches_stats(obs, batch.match_stats(), "wall");
 }
 
 }  // namespace

@@ -193,6 +193,39 @@ TEST(WorldEquivalence, WorkerDeathMidBatchStillConverges) {
   }
 }
 
+TEST(WorldEquivalence, DelayedLockReleaseStillMatchesSequential) {
+  // Workers dawdle while holding hash-line locks: a benign perturbation
+  // that must be injected (the batch runs the shared worker pool, which
+  // honours DelayLockRelease) and must not change any world's result.
+  const auto wl = workloads::rubik(6);
+  const auto program = ops5::Program::from_source(wl.source);
+  for (const auto scheme :
+       {match::LockScheme::Simple, match::LockScheme::Mrsw,
+        match::LockScheme::Seqlock}) {
+    rr::FaultPlan plan;
+    for (unsigned ep = 0; ep < 3; ++ep)
+      plan.ops.push_back({rr::FaultKind::DelayLockRelease, ep,
+                          /*at_cycle=*/1, /*count=*/16, /*magnitude=*/20});
+    rr::FaultInjector faults(plan);
+
+    EngineOptions opt;
+    opt.worlds = 8;
+    opt.hash_buckets = 64;
+    opt.match_processes = 3;
+    opt.task_queues = 2;
+    opt.lock_scheme = scheme;
+    opt.rr_faults = &faults;
+    BatchEngine batch(program, opt);
+    batch.set_digest_capture(true);
+    load_batch(batch, wl);
+    const std::vector<WorldRef> refs = all_refs(program, wl, batch);
+    batch.run_all();
+    expect_worlds_match(batch, refs, "delayed lock release");
+    EXPECT_GT(faults.injected(), 0u)
+        << "lock scheme " << static_cast<int>(scheme);
+  }
+}
+
 TEST(WorldEquivalence, RestoreRewindsOnlyTheRestoredWorlds) {
   const auto wl = workloads::rubik(6);
   const auto program = ops5::Program::from_source(wl.source);
