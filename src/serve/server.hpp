@@ -13,8 +13,10 @@
 //    a worker picks it up is answered `err deadline ...` without touching
 //    the engine (and `run` slices check the deadline while executing).
 //
-// One session's requests execute in submission order (a per-session mutex
-// serializes them); different sessions run in parallel across the pool.
+// Each session is an actor: its requests wait in its own inbox, and only
+// sessions with work go on the server's ready queue, so exactly one worker
+// runs a session at a time and its requests execute in submission order.
+// Different sessions run in parallel across the pool.
 // drain() is the graceful shutdown: it stops admission, lets the queue
 // empty, and joins the workers — queued work is finished, not dropped.
 #pragma once
@@ -122,10 +124,6 @@ class Server {
   double now_us() const;
 
  private:
-  struct Entry {
-    std::unique_ptr<Session> session;
-    std::mutex mu;  // serializes this session's requests
-  };
   struct Item {
     SessionId id = 0;
     std::string line;
@@ -133,23 +131,33 @@ class Server {
     std::promise<Response> promise;
     double enqueue_us = 0;
   };
+  struct Entry {
+    std::unique_ptr<Session> session;
+    // Guarded by Server::mu_. `scheduled` is set while the entry is on
+    // ready_ or a worker is executing one of its requests.
+    std::deque<Item> inbox;
+    bool scheduled = false;
+    bool closed = false;
+    std::mutex busy;  // held while executing; close_session waits on it
+  };
 
   void worker_main();
 
   ServerConfig config_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;  // guards sessions_, queue_, stats_, flags
-  std::condition_variable work_cv_;   // workers: queue non-empty or stopping
-  std::condition_variable drain_cv_;  // drain(): queue empty and idle
+  mutable std::mutex mu_;  // guards sessions_, ready_, inboxes, stats_, flags
+  std::condition_variable work_cv_;   // workers: ready_ non-empty or stopping
+  std::condition_variable drain_cv_;  // drain(): nothing queued and idle
   // Shared engines behind batch/shard sessions. Declared before
   // sessions_ so they are destroyed after every Session that points into
   // them.
   std::vector<std::unique_ptr<world::BatchEngine>> batches_;
   std::vector<std::unique_ptr<shard::ShardGroup>> shard_groups_;
   std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions_;
-  std::deque<Item> queue_;
+  std::deque<std::shared_ptr<Entry>> ready_;  // sessions with queued work
   std::vector<std::thread> workers_;
   SessionId next_id_ = 1;
+  std::size_t queued_ = 0;  // requests in inboxes, bounded by queue_capacity
   std::size_t in_flight_ = 0;
   bool draining_ = false;
   bool stopped_ = false;
