@@ -20,6 +20,8 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -112,6 +114,24 @@ inline SimOutcome run_sim(const ProgramSpec& spec, int procs, int queues,
 // one queue, simple locks, no RHS/match overlap.
 inline SimOutcome run_sim_baseline(const ProgramSpec& spec) {
   return run_sim(spec, 1, 1, match::LockScheme::Simple, /*pipeline=*/false);
+}
+
+// --- repeated trials --------------------------------------------------------
+
+// Median of `v` (non-empty), and its median absolute deviation: the spread
+// to report for host wall-clock trials, where a few slow outliers are the
+// norm on a shared host.
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+inline double mad(const std::vector<double>& v) {
+  const double m = median(v);
+  std::vector<double> dev;
+  for (const double x : v) dev.push_back(std::fabs(x - m));
+  return median(dev);
 }
 
 // --- machine-readable results ---------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -23,6 +24,15 @@ class FaultInjector;      // rr/fault.hpp
 
 namespace psme {
 
+// Per-engine defaults for an unset EngineOptions::scheduler. Real threads
+// steal: the central queue's per-task lock handoff costs more than a task
+// on modern cores. The Multimax simulator keeps the paper's central queues,
+// the discipline its Tables 4-5 to 4-9 measure.
+inline constexpr match::SchedulerKind kThreadedScheduler =
+    match::SchedulerKind::Steal;
+inline constexpr match::SchedulerKind kSimScheduler =
+    match::SchedulerKind::Central;
+
 struct EngineOptions {
   // vs1 (per-node linear lists) or vs2/parallel (global hash tables).
   match::MemoryStrategy memory = match::MemoryStrategy::Hash;
@@ -36,10 +46,12 @@ struct EngineOptions {
 
   // Task-scheduling discipline: the paper's central spin-locked queues
   // (task_queues of them) or per-worker work-stealing deques (see
-  // docs/scheduling.md). steal_deque_capacity bounds each worker's deque
+  // docs/scheduling.md). Unset means the engine's own default:
+  // kThreadedScheduler on the wall-clock threaded engines, kSimScheduler in
+  // the simulator. steal_deque_capacity bounds each worker's deque
   // (rounded up to a power of two); overfull deques spill to a locked
   // overflow list.
-  match::SchedulerKind scheduler = match::SchedulerKind::Central;
+  std::optional<match::SchedulerKind> scheduler;
   std::uint32_t steal_deque_capacity = match::WsDeque::kDefaultCapacity;
 
   // Token hash tables: number of buckets per side (power of two).

@@ -22,9 +22,9 @@ std::unique_ptr<match::Scheduler> make_pool_scheduler(
   if (options.rr_replay)
     return rr::make_replay_scheduler(options.rr_replay,
                                      options.match_processes + 1);
-  return match::make_scheduler(options.scheduler, options.task_queues,
-                               options.match_processes + 1,
-                               options.steal_deque_capacity);
+  return match::make_scheduler(
+      options.scheduler.value_or(kThreadedScheduler), options.task_queues,
+      options.match_processes + 1, options.steal_deque_capacity);
 }
 
 }  // namespace
@@ -35,7 +35,8 @@ ParallelEngine::ParallelEngine(const ops5::Program& program,
       left_table_(options_.hash_buckets),
       right_table_(options_.hash_buckets),
       world_{&left_table_, &right_table_, nullptr, &cs_},
-      arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0))),
+      arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0)) +
+              1),
       // Lock count follows the table's rounded (power-of-two) line count,
       // not the requested bucket count: line_of() indexes the rounded
       // space, and a non-power-of-two request would otherwise leave lines

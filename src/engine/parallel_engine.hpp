@@ -45,7 +45,9 @@ class ParallelEngine : public EngineBase {
   match::HashTokenTable left_table_;
   match::HashTokenTable right_table_;
   match::WorldContext world_;  // the engine's single world
-  std::vector<match::BumpArena> arenas_;  // one per match process
+  // One token arena per scheduler endpoint: the match processes and the
+  // control thread, which runs tasks while it waits for quiescence.
+  std::vector<match::BumpArena> arenas_;
   // Declared after the state its workers use: its destructor joins them.
   match::WorkerPool pool_;
   std::chrono::steady_clock::time_point phase_start_;

@@ -11,7 +11,9 @@
 // TaskQueueSet): push/push_batch increment before the tasks become
 // visible, requeue (the MRSW opposite-side put-back) never touches the
 // count, and task_done() decrements only after a task completes, so
-// phase_complete() cannot report a quiescent match phase early.
+// phase_complete() cannot report a quiescent match phase early. A
+// continuation (allows_continuation below) is never pushed: it takes over
+// its parent's count, which the chain's last task_done() releases.
 //
 // See docs/scheduling.md for the full discipline comparison, termination
 // protocol, and the simulator's steal cost model.
@@ -51,6 +53,12 @@ class Scheduler {
   virtual std::int64_t task_count() const = 0;
   bool phase_complete() const { return task_count() == 0; }
   virtual int endpoints() const = 0;
+
+  // Whether an executor may keep a task's last emission and run it next on
+  // the same endpoint, unpublished and on the parent's TaskCount slot
+  // (continuation-first, match::execute_task). A scheduler that must see
+  // every task, like the record/replay one, declines.
+  virtual bool allows_continuation() const { return true; }
 };
 
 // The paper's discipline: TaskQueueSet (1..k spin-locked queues) behind
@@ -91,8 +99,9 @@ class CentralScheduler final : public Scheduler {
 // single release store (WsDeque::push_batch); a full deque spills to the
 // endpoint's spin-locked overflow list (counted in
 // MatchStats::steal_overflow), which both the owner and thieves drain.
-// The control endpoint only pushes (root tasks); workers acquire those by
-// stealing, so the control deque doubles as the phase's injection queue.
+// The control endpoint pushes the root tasks, and workers acquire those by
+// stealing, so the control deque doubles as the phase's injection queue;
+// while it waits for quiescence the control pops and steals like a worker.
 class WorkStealingScheduler final : public Scheduler {
  public:
   WorkStealingScheduler(int endpoints,
@@ -129,7 +138,9 @@ class WorkStealingScheduler final : public Scheduler {
   bool steal_from(Task* out, Endpoint& victim, MatchStats& stats);
 
   std::vector<std::unique_ptr<Endpoint>> eps_;
-  std::atomic<std::int64_t> task_count_{0};
+  // Written by every push and completion; its own cache line keeps eps_,
+  // which every pop reads, from bouncing with it.
+  alignas(64) std::atomic<std::int64_t> task_count_{0};
 };
 
 // `endpoints` = match processes + 1 (control last). For Central,

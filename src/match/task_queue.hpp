@@ -54,7 +54,9 @@ class TaskQueueSet {
   void enqueue(const Task& task, unsigned hint, MatchStats& stats);
 
   std::vector<std::unique_ptr<Queue>> queues_;
-  std::atomic<std::int64_t> task_count_{0};
+  // Written by every push and completion; its own cache line keeps
+  // queues_, which every operation reads, from bouncing with it.
+  alignas(64) std::atomic<std::int64_t> task_count_{0};
 };
 
 }  // namespace psme::match

@@ -36,7 +36,10 @@ void execute_task(MatchContext& ctx, WorldContext& world,
         stats.line_probes[0] + stats.line_probes[1] - line0);
     ev.queue_probes =
         static_cast<std::uint32_t>(stats.queue_probes - queue0);
-    trace->record(static_cast<int>(ep) + 1, ev);
+    // The control endpoint, endpoints() - 1, is stream 0.
+    trace->record(
+        static_cast<int>((ep + 1) % static_cast<unsigned>(sched.endpoints())),
+        ev);
   };
   auto requeue = [&] {
     sched.requeue(task, ep, stats);
@@ -166,12 +169,24 @@ void execute_task(MatchContext& ctx, WorldContext& world,
   if (record && (task.kind == TaskKind::Root ||
                  task.kind == TaskKind::Terminal))
     record->on_commit(ep, task);
-  // Batched handoff: all emissions of this task are published in one
-  // scheduler operation (a single release store in the steal discipline).
-  sched.push_batch(emit_buf.data(), emit_buf.size(), ep, stats);
   stats.tasks_executed += 1;
-  sched.task_done();
+  // Batched handoff: the emissions this task publishes go out in one
+  // scheduler operation (a single release store in the steal discipline).
+  // Continuation-first keeps the last one back and runs it next, here, on
+  // this task's TaskCount slot, so a chain costs no scheduler operation and
+  // no TaskCount atomic. Each continuation sits one node deeper in the
+  // network, so the recursion is as deep as the longest production.
+  const std::size_t n = emit_buf.size();
+  const bool continue_here = n > 0 && sched.allows_continuation();
+  sched.push_batch(emit_buf.data(), continue_here ? n - 1 : n, ep, stats);
   if (trace) trace_event(obs::trace_kind_of(task.kind));
+  if (!continue_here) {
+    sched.task_done();
+    return;
+  }
+  const Task next = emit_buf[n - 1];
+  execute_task(ctx, world, net, sched, locks, next, lock_salt, emit_buf, ep,
+               record, faults, trace);
 }
 
 WorkerPool::WorkerPool(const rete::Network& net, const rete::CodeStore* code,
@@ -186,6 +201,7 @@ WorkerPool::WorkerPool(const rete::Network& net, const rete::CodeStore* code,
       hooks_(hooks) {
   for (int i = 0; i < workers; ++i)
     workers_.push_back(std::make_unique<Worker>());
+  control_ = make_executor(nullptr);
 }
 
 WorkerPool::~WorkerPool() {
@@ -200,6 +216,14 @@ WorkerPool::~WorkerPool() {
   }
 }
 
+WorkerPool::Executor WorkerPool::make_executor(MatchStats* stats) const {
+  Executor ex;
+  ex.ctx.strategy = MemoryStrategy::Hash;
+  ex.ctx.stats = stats;
+  ex.ctx.code = code_;
+  return ex;
+}
+
 void WorkerPool::begin_run(MatchStats& control_stats) {
   ++runs_started_;
   if (thread_spawns_ == 0) {
@@ -208,6 +232,7 @@ void WorkerPool::begin_run(MatchStats& control_stats) {
       ++thread_spawns_;
     }
   }
+  control_.ctx.stats = &control_stats;
   if (obs::Observability* obs = hooks_.obs) {
     obs->trace.enable(static_cast<int>(workers_.size()) + 1, "wall");
     obs->attach_worker(control_stats, 0);
@@ -221,13 +246,18 @@ void WorkerPool::begin_run(MatchStats& control_stats) {
   cv_.notify_all();
 }
 
-void WorkerPool::wait_quiescent() const {
-  std::uint32_t spins = 0;
+void WorkerPool::wait_quiescent() {
+  // The control thread is one more match process until the phase drains:
+  // spinning idle here would leave a core unused for the whole phase.
+  std::uint32_t idle = 0;
   while (!sched_->phase_complete()) {
-    SpinLock::cpu_relax();
-    if (++spins >= 64) {
+    if (run_one(control_ep(), control_)) {
+      idle = 0;
+    } else if (++idle >= 64) {
       std::this_thread::yield();
-      spins = 0;
+      idle = 0;
+    } else {
+      SpinLock::cpu_relax();
     }
   }
 }
@@ -248,16 +278,40 @@ void WorkerPool::end_run(MatchStats& into) {
   }
 }
 
-void WorkerPool::worker_main(unsigned ep) {
-  Worker& wk = *workers_[ep];
-  MatchContext ctx;
-  ctx.strategy = MemoryStrategy::Hash;
-  ctx.stats = &wk.stats;
-  ctx.code = code_;
-  rr::Recorder* const record = hooks_.record;
+bool WorkerPool::run_one(unsigned ep, Executor& ex) {
   rr::FaultInjector* const faults = hooks_.faults;
-  obs::TraceRecorder* const trace = hooks_.obs ? &hooks_.obs->trace : nullptr;
-  std::vector<Task> emit_buf;
+  MatchStats& stats = *ex.ctx.stats;
+  if (faults) {
+    if (faults->worker_dead(ep)) {
+      std::this_thread::yield();
+      return false;
+    }
+    if (const std::uint32_t us = faults->stall(ep))
+      std::this_thread::sleep_for(std::chrono::microseconds(us));
+    if (faults->fail_pop(ep)) return false;
+  }
+  Task task;
+  if (!sched_->try_pop(&task, ep, stats)) return false;
+  if (faults) {
+    if (faults->drop_requeue(ep)) {
+      sched_->requeue(task, ep, stats);
+      return true;
+    }
+    if (faults->lose_task(ep)) {
+      sched_->task_done();  // the bug: discarded but counted done
+      return true;
+    }
+  }
+  const PoolWorld& world = worlds_[task.world];
+  ex.ctx.arena = &world.arenas[ep];
+  execute_task(ex.ctx, *world.ctx, net_, *sched_, locks_, task,
+               world.lock_salt, ex.emit_buf, ep, hooks_.record, faults,
+               hooks_.obs ? &hooks_.obs->trace : nullptr);
+  return true;
+}
+
+void WorkerPool::worker_main(unsigned ep) {
+  Executor ex = make_executor(&workers_[ep]->stats);
   for (;;) {
     {
       // Park between runs; begin_run() wakes the pool.
@@ -274,45 +328,16 @@ void WorkerPool::worker_main(unsigned ep) {
     std::uint32_t idle = 0;
     while (active_.load(std::memory_order_acquire) &&
            !shutdown_.load(std::memory_order_acquire)) {
-      if (faults) {
-        if (faults->worker_dead(ep)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (const std::uint32_t us = faults->stall(ep))
-          std::this_thread::sleep_for(std::chrono::microseconds(us));
-        if (faults->fail_pop(ep)) {
-          SpinLock::cpu_relax();
-          continue;
-        }
-      }
-      Task task;
-      if (!sched_->try_pop(&task, ep, wk.stats)) {
+      if (run_one(ep, ex)) {
+        idle = 0;
+      } else if (++idle >= 16) {
         // Idle: between phases, or starved. Back off politely so the
         // control thread (and, on small hosts, other match processes) can
         // run.
-        if (++idle >= 16) {
-          std::this_thread::yield();
-        } else {
-          SpinLock::cpu_relax();
-        }
-        continue;
+        std::this_thread::yield();
+      } else {
+        SpinLock::cpu_relax();
       }
-      idle = 0;
-      if (faults) {
-        if (faults->drop_requeue(ep)) {
-          sched_->requeue(task, ep, wk.stats);
-          continue;
-        }
-        if (faults->lose_task(ep)) {
-          sched_->task_done();  // the bug: discarded but counted done
-          continue;
-        }
-      }
-      const PoolWorld& world = worlds_[task.world];
-      ctx.arena = &world.arenas[ep];
-      execute_task(ctx, *world.ctx, net_, *sched_, locks_, task,
-                   world.lock_salt, emit_buf, ep, record, faults, trace);
     }
   }
 }

@@ -5,6 +5,11 @@
 // task's world from Task::world. (SimEngine keeps a coroutine copy of the
 // dispatch that charges virtual time at every step.)
 //
+// Two departures from the paper keep per-task synchronization off the hot
+// path on real cores: the control thread runs tasks while it waits for
+// quiescence instead of spinning, and a task's last emission runs next on
+// the same endpoint without a scheduler round trip (continuation-first).
+//
 // The rr::Recorder, rr::FaultInjector and obs::Observability hooks are
 // optional and fixed at construction; each is a null check on the task
 // path.
@@ -46,8 +51,11 @@ struct PoolWorld {
 
 // Runs one popped task — Root, Terminal, or a join under the Simple,
 // Seqlock or MRSW line-lock protocol — then publishes its emissions through
-// scheduler endpoint `ep` and counts it done. Statistics go to *ctx.stats;
-// trace events (if `trace`) to stream ep + 1.
+// scheduler endpoint `ep` and counts it done. When the scheduler allows
+// continuations, all emissions but the last are published and the last
+// runs next here, on the popped task's TaskCount slot, and so on down the
+// chain. Statistics go to *ctx.stats; trace events (if `trace`) to stream
+// ep + 1, or stream 0 for the control endpoint.
 void execute_task(MatchContext& ctx, WorldContext& world,
                   const rete::Network& net, Scheduler& sched,
                   LineLocks& locks, const Task& task,
@@ -67,7 +75,8 @@ class WorkerPool {
   };
 
   // Worker i uses scheduler endpoint i; the control thread uses
-  // control_ep() == workers. `code` null runs the interpreted test walk.
+  // control_ep() == workers. Each PoolWorld needs an arena per endpoint,
+  // the control's included. `code` null runs the interpreted test walk.
   WorkerPool(const rete::Network& net, const rete::CodeStore* code,
              int workers, std::unique_ptr<Scheduler> sched,
              std::uint32_t lock_lines, LockScheme scheme,
@@ -79,10 +88,12 @@ class WorkerPool {
 
   // Wakes the workers. With an Observability hook, first re-arms its trace
   // (stream 0 = control, 1..k = workers) and attaches `control_stats` and
-  // the workers' statistics to it.
+  // the workers' statistics to it. The tasks the control thread runs count
+  // into `control_stats`.
   void begin_run(MatchStats& control_stats);
-  // Spins until the scheduler's TaskCount reaches zero.
-  void wait_quiescent() const;
+  // Runs tasks at control_ep() until the scheduler's TaskCount reaches
+  // zero. Control thread only, between begin_run() and end_run().
+  void wait_quiescent();
   // Parks the workers and merges their statistics into `into`.
   void end_run(MatchStats& into);
 
@@ -90,11 +101,22 @@ class WorkerPool {
   std::uint64_t runs_started() const { return runs_started_; }
 
  private:
-  struct Worker {
+  // Each thread writes its own statistics and executor on every task; the
+  // cache-line alignment keeps those writes off lines other threads read,
+  // such as a neighbouring worker's counters or active_.
+  struct alignas(64) Worker {
     MatchStats stats;
     std::thread thread;
   };
+  // What one endpoint's thread executes with.
+  struct alignas(64) Executor {
+    MatchContext ctx;
+    std::vector<Task> emit_buf;
+  };
 
+  Executor make_executor(MatchStats* stats) const;
+  // Pops one task at `ep` and runs it; false when none was popped.
+  bool run_one(unsigned ep, Executor& ex);
   void worker_main(unsigned ep);
 
   const rete::Network& net_;
@@ -104,6 +126,7 @@ class WorkerPool {
   std::vector<PoolWorld> worlds_;
   Hooks hooks_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  Executor control_;  // re-armed by begin_run()
   // Workers spin on `active_` during a run and wait on `cv_` between runs;
   // `parked_` counts the waiters (under mu_).
   std::atomic<bool> active_{false};

@@ -15,6 +15,7 @@
 // the schema).
 #pragma once
 
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -60,14 +61,13 @@ class TraceRecorder {
         .count();
   }
 
+  // Appends to stream `worker`'s buffer, which only that worker's thread
+  // may write: a stream outside [0, num_workers) is a caller bug.
   void record(int worker, const TraceEvent& ev) {
     if (buffers_.empty()) return;
-    const std::size_t i =
-        worker < 0 ? 0
-        : static_cast<std::size_t>(worker) < buffers_.size()
-            ? static_cast<std::size_t>(worker)
-            : buffers_.size() - 1;
-    buffers_[i]->events.push_back(ev);
+    assert(worker >= 0 &&
+           static_cast<std::size_t>(worker) < buffers_.size());
+    buffers_[static_cast<std::size_t>(worker)]->events.push_back(ev);
   }
 
   std::size_t event_count() const;

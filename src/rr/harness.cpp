@@ -86,8 +86,10 @@ EngineOptions options_from(const RunSpec& spec) {
   o.memory = match::MemoryStrategy::Hash;
   if (!pick(spec.strategy, {"lex", "mea"}, &o.strategy))
     throw std::invalid_argument("rr: unknown strategy: " + spec.strategy);
-  if (!pick(spec.scheduler, {"central", "steal"}, &o.scheduler))
+  match::SchedulerKind sched;
+  if (!pick(spec.scheduler, {"central", "steal"}, &sched))
     throw std::invalid_argument("rr: unknown scheduler: " + spec.scheduler);
+  o.scheduler = sched;
   if (!pick(spec.lock_scheme, {"simple", "mrsw", "seqlock"}, &o.lock_scheme))
     throw std::invalid_argument("rr: unknown lock scheme: " +
                                 spec.lock_scheme);
@@ -156,8 +158,10 @@ ReplayOutcome replay_run(const ReplayLog& log, obs::Observability* obs) {
   options.memory = match::MemoryStrategy::Hash;
   if (!pick(log.header.strategy, {"lex", "mea"}, &options.strategy))
     throw std::runtime_error("replay: bad strategy in log header");
-  if (!pick(log.header.scheduler, {"central", "steal"}, &options.scheduler))
+  match::SchedulerKind sched;
+  if (!pick(log.header.scheduler, {"central", "steal"}, &sched))
     throw std::runtime_error("replay: bad scheduler in log header");
+  options.scheduler = sched;
   if (!pick(log.header.lock_scheme, {"simple", "mrsw", "seqlock"},
             &options.lock_scheme))
     throw std::runtime_error("replay: bad lock scheme in log header");

@@ -200,13 +200,16 @@ class ReplayScheduler final : public match::Scheduler {
     push_batch(&task, 1, who, stats);
   }
 
-  void push_batch(const match::Task* tasks, std::size_t n, unsigned who,
-                  MatchStats& stats) override {
+  void push_batch(const match::Task* tasks, std::size_t n,
+                  unsigned /*who*/, MatchStats& stats) override {
     if (n == 0) return;
     count_.fetch_add(static_cast<std::int64_t>(n),
                      std::memory_order_acq_rel);
     SpinGuard g(mu_, &stats.queue_probes);
-    if (who == static_cast<unsigned>(endpoints_ - 1)) coord_->phase_opened();
+    // Only root pushes open a phase. The control endpoint also publishes
+    // the emissions of the tasks it runs while it waits for quiescence;
+    // those must leave stuck-schedule detection armed.
+    if (tasks[0].kind == match::TaskKind::Root) coord_->phase_opened();
     for (std::size_t i = 0; i < n; ++i)
       pending_.push_back({tasks[i], task_fingerprint(tasks[i])});
   }
@@ -253,6 +256,8 @@ class ReplayScheduler final : public match::Scheduler {
     return count_.load(std::memory_order_acquire);
   }
   int endpoints() const override { return endpoints_; }
+  // Every task must pass through poll() to be released in recorded order.
+  bool allows_continuation() const override { return false; }
 
  private:
   struct Pending {

@@ -20,9 +20,10 @@
 //    report names the first differing instantiations.
 //
 // Engines integrate differently: ParallelEngine swaps its Scheduler for
-// make_replay_scheduler() (workers poll it concurrently); SimEngine is
-// single-threaded and calls the coordinator's poll/completed primitives
-// directly from its pop coroutine.
+// make_replay_scheduler() (workers, and the control thread while it waits
+// for quiescence, poll it concurrently); SimEngine is single-threaded and
+// calls the coordinator's poll/completed primitives directly from its pop
+// coroutine.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +82,7 @@ class ReplayCoordinator {
   // quiescence). Arms stuck-schedule detection.
   void phase_pushed();
   // A new phase's pushes are starting. Disarms it. (The replay scheduler
-  // calls this automatically on control-endpoint pushes.)
+  // calls this automatically on root-task pushes.)
   void phase_opened();
   // Quiescent point: checks digests against the recorded cycle.
   void on_quiescent(const WorkingMemory& wm, const ConflictSet& cs);
@@ -127,7 +128,8 @@ class ReplayCoordinator {
 
 // A match::Scheduler that holds every pushed task in one pending list and
 // releases them in recorded order via the coordinator. Thread-safe;
-// control endpoint = endpoints-1.
+// control endpoint = endpoints-1. It declines continuations, so the
+// executor pushes every emission through it.
 std::unique_ptr<match::Scheduler> make_replay_scheduler(
     ReplayCoordinator* coord, int endpoints);
 

@@ -110,7 +110,8 @@ class SimEngine : public EngineBase {
   // Steal discipline (virtual-time analogue of WorkStealingScheduler).
   // `who` is the endpoint: worker i -> i, control -> match_processes.
   bool steal_mode() const {
-    return options_.scheduler == match::SchedulerKind::Steal;
+    return options_.scheduler.value_or(kSimScheduler) ==
+           match::SchedulerKind::Steal;
   }
   SubTask<bool> steal_push(SimCpu& cpu, match::Task task, unsigned who,
                            MatchStats& stats, bool is_requeue);

@@ -63,9 +63,10 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
     }
     workers_ = std::make_unique<match::WorkerPool>(
         pool_.network(), code_, options_.match_processes,
-        match::make_scheduler(options_.scheduler, options_.task_queues,
-                              options_.match_processes + 1,
-                              options_.steal_deque_capacity),
+        match::make_scheduler(
+            options_.scheduler.value_or(kThreadedScheduler),
+            options_.task_queues, options_.match_processes + 1,
+            options_.steal_deque_capacity),
         locks, options_.lock_scheme, std::move(worlds),
         match::WorkerPool::Hooks{nullptr, options_.rr_faults, options_.obs});
   }

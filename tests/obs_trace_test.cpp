@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 
+#include "engine/parallel_engine.hpp"
 #include "obs/json.hpp"
 #include "psme.hpp"
 
@@ -69,24 +69,6 @@ TEST(TraceRecorderTest, GoldenJson) {
   EXPECT_DOUBLE_EQ(events[3].at("ts").as_double(), 10.0);
   EXPECT_EQ(events[3].at("args").at("sign").as_int(), -1);
   EXPECT_EQ(events[3].at("args").at("line_probes").as_uint(), 3u);
-}
-
-TEST(TraceRecorderTest, OutOfRangeWorkerClampsToLastStream) {
-  TraceRecorder rec;
-  rec.enable(2, "wall");
-  rec.record(-3, make_event(0, 1, TraceEventKind::Root, +1, 0, 0, 0));
-  rec.record(99, make_event(0, 1, TraceEventKind::Terminal, +1, 0, 0, 0));
-  EXPECT_EQ(rec.event_count(), 2u);
-  std::ostringstream os;
-  rec.write_json(os);
-  Json parsed;
-  std::string error;
-  ASSERT_TRUE(json_parse(os.str(), &parsed, &error)) << error;
-  std::map<std::uint64_t, int> per_tid;
-  for (const Json& ev : parsed.at("traceEvents").as_array())
-    if (ev.at("ph").as_string() == "X") per_tid[ev.at("tid").as_uint()] += 1;
-  EXPECT_EQ(per_tid[0], 1);  // negative -> stream 0
-  EXPECT_EQ(per_tid[1], 1);  // past the end -> last stream
 }
 
 // trace_report's cross-checks, in process: every completed task has exactly
@@ -157,6 +139,33 @@ TEST(TraceEngineTest, ThreadedEngineMatchesStats) {
 
 TEST(TraceEngineTest, SimulatedEngineMatchesStats) {
   run_and_check(ExecutionMode::SimulatedMultimax);
+}
+
+// The control thread runs tasks while it waits for quiescence, and records
+// them on its own stream 0 (a stream shared with a worker would race).
+TEST(TraceEngineTest, ThreadedControlTasksLandOnStreamZero) {
+  const workloads::Workload w = workloads::rubik(6);
+  const auto program = ops5::Program::from_source(w.source);
+
+  Observability obs;
+  EngineOptions opt;
+  opt.match_processes = 3;
+  opt.obs = &obs;
+  ParallelEngine engine(program, opt);
+  workloads::load(engine, w);
+  const RunResult result = engine.run();
+  expect_trace_matches_stats(obs, result.stats.match, "wall");
+
+  std::ostringstream os;
+  obs.trace.write_json(os);
+  Json parsed;
+  std::string error;
+  ASSERT_TRUE(json_parse(os.str(), &parsed, &error)) << error;
+  std::uint64_t control_tasks = 0;
+  for (const Json& ev : parsed.at("traceEvents").as_array())
+    if (ev.at("ph").as_string() == "X" && ev.at("tid").as_uint() == 0)
+      control_tasks += 1;
+  EXPECT_GT(control_tasks, 0u);
 }
 
 // Threaded world batches run on the same worker pool, so they get the same

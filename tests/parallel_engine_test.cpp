@@ -154,6 +154,50 @@ TEST(ParallelEngine, WorkStealingSchedulerStaysCorrect) {
   EXPECT_GE(r.stats.match.steal_attempts, r.stats.match.steal_successes);
 }
 
+// Real threads default to work stealing (the central queue's per-task lock
+// handoff costs more than a task on modern cores); an explicit Central
+// still runs the paper's spin-locked queues.
+TEST(ParallelEngine, DefaultSchedulerStealsAndCentralStaysSelectable) {
+  const auto w = workloads::rubik(6);
+  auto program = ops5::Program::from_source(w.source);
+  SequentialEngine seq(program, {});
+  workloads::load(seq, w);
+  seq.run();
+
+  EngineOptions opt;
+  opt.match_processes = 3;
+  ParallelEngine def(program, opt);
+  workloads::load(def, w);
+  const RunResult rd = def.run();
+  EXPECT_EQ(def.trace(), seq.trace());
+  EXPECT_GT(rd.stats.match.steal_attempts, 0u);
+
+  opt.scheduler = match::SchedulerKind::Central;
+  ParallelEngine central(program, opt);
+  workloads::load(central, w);
+  const RunResult rc = central.run();
+  EXPECT_EQ(central.trace(), seq.trace());
+  EXPECT_EQ(rc.stats.match.steal_attempts, 0u);
+  EXPECT_GT(rc.stats.match.queue_acquisitions, 0u);
+}
+
+// Continuation-first: a task's last emission runs next on the same
+// endpoint without a scheduler operation. Under Central every push and
+// every pop is one queue acquisition, so a run that pushed and popped each
+// task would acquire a queue twice per task.
+TEST(ParallelEngine, ContinuationsSkipTheScheduler) {
+  const auto w = workloads::rubik(6);
+  auto program = ops5::Program::from_source(w.source);
+  EngineOptions opt;
+  opt.match_processes = 1;
+  opt.scheduler = match::SchedulerKind::Central;
+  ParallelEngine eng(program, opt);
+  workloads::load(eng, w);
+  const MatchStats& m = eng.run().stats.match;
+  ASSERT_GT(m.tasks_executed, 0u);
+  EXPECT_LT(m.queue_acquisitions, 2 * m.tasks_executed);
+}
+
 TEST(ParallelEngine, WorkStealingEngineCanBeResumed) {
   auto program = ops5::Program::from_source(R"(
 (literalize a x)

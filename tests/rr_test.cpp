@@ -98,6 +98,12 @@ struct MatrixCase {
   const char* scheduler;
 };
 
+// gtest's default printout of this struct is its raw bytes, pointers
+// included, and that printout ends up in the ctest test names.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.workload << "/" << c.mode << "/" << c.scheduler;
+}
+
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   return std::string(info.param.workload) + "_" + info.param.mode + "_" +
          info.param.scheduler;

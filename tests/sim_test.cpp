@@ -85,6 +85,24 @@ TEST_F(SimTest, PipeliningOverlapsRhsWithMatch) {
   EXPECT_EQ(piped.trace.size(), base.trace.size());
 }
 
+// The simulator is the instrument for the paper's queue tables, so unlike
+// the threaded engines it keeps the central queues when no scheduler is
+// chosen: a default run is the explicit-Central run, probe for probe.
+TEST_F(SimTest, DefaultSchedulerIsThePapersCentralQueue) {
+  EngineOptions opt;
+  opt.match_processes = 5;
+  opt.task_queues = 2;
+  SimEngine eng(program_, opt);
+  workloads::load(eng, w_);
+  eng.run();
+  const SimOut central = run_sim(w_, program_, 5, 2);
+  EXPECT_EQ(eng.match_stats().steal_attempts, 0u);
+  EXPECT_EQ(eng.match_stats().queue_contention(),
+            central.stats.queue_contention());
+  EXPECT_EQ(eng.match_stats().queue_probes, central.stats.queue_probes);
+  EXPECT_EQ(eng.sim_match_seconds(), central.match_s);
+}
+
 TEST_F(SimTest, QueueContentionGrowsWithProcessors) {
   const SimOut p1 = run_sim(w_, program_, 1, 1);
   const SimOut p13 = run_sim(w_, program_, 13, 1);

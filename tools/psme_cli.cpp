@@ -10,7 +10,8 @@
 //   --queues N       task queues (default 1)
 //   --sched {central|steal}   task scheduler for threads/sim modes:
 //                    the paper's central spin-locked queues, or per-worker
-//                    lock-free deques with work stealing (default central)
+//                    lock-free deques with work stealing (default steal
+//                    on threads, central on sim, the paper's discipline)
 //   --locks {simple|mrsw|seqlock}   hash-line lock scheme: exclusive spin
 //                    locks, the paper's multiple-reader-single-writer
 //                    locks, or optimistic seqlock probes with commit-time
@@ -389,7 +390,10 @@ int main(int argc, char** argv) {
     psme::obs::Observability::export_config(
         config.options.match_processes, config.options.task_queues,
         static_cast<int>(config.options.lock_scheme),
-        config.options.scheduler == psme::match::SchedulerKind::Steal,
+        config.options.scheduler.value_or(
+            config.mode == psme::ExecutionMode::ParallelThreads
+                ? psme::kThreadedScheduler
+                : psme::kSimScheduler) == psme::match::SchedulerKind::Steal,
         obs.registry);
     if (!metrics_path.empty()) {
       std::ofstream out(metrics_path);
