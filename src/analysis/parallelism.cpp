@@ -27,8 +27,8 @@ class ProfilingEngine : public EngineBase {
     world_.right_table = &right_table_;
     world_.conflict_set = &cs_;
     ctx_.arena = &arena_;
-    ctx_.stats = &stats_.match;
-    if (options.match_vm) ctx_.code = &network_->code();
+    ctx_.stats = &ctl_.stats.match;
+    if (options.match_vm) ctx_.code = &network().code();
   }
 
   ParallelismProfile take_profile() {
@@ -63,7 +63,7 @@ class ProfilingEngine : public EngineBase {
       VTime cost = cost_.task_dispatch;
       switch (cur.task.kind) {
         case match::TaskKind::Root:
-          match::process_root(ctx_, world_, *network_, cur.task, emit, &ac);
+          match::process_root(ctx_, world_, network(), cur.task, emit, &ac);
           cost += ac.vm_used ? cost_.root_cost_vm(ac.vm_loads, ac.vm_tests,
                                                   ac.vm_branches, emit.size())
                              : cost_.root_cost(ac.alpha_tests, emit.size());

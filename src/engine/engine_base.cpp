@@ -1,9 +1,7 @@
 #include "engine/engine_base.hpp"
 
 #include <chrono>
-#include <ostream>
 
-#include "common/symbol_table.hpp"
 #include "rr/fault.hpp"
 #include "rr/recorder.hpp"
 #include "rr/replay.hpp"
@@ -11,151 +9,37 @@
 namespace psme {
 
 EngineBase::EngineBase(const ops5::Program& program, EngineOptions options)
-    : program_(program),
-      options_(options),
-      network_(rete::build_network(program)),
-      wm_(program),
-      cs_(program) {
-  rhs_.reserve(program.productions().size());
-  for (const auto& prod : program.productions())
-    rhs_.push_back(compile_rhs(program, prod));
-}
-
-const Wme* EngineBase::make(std::string_view wme_literal) {
-  const ops5::WmeLiteral lit = ops5::parse_wme_literal(wme_literal);
-  std::vector<std::pair<SymbolId, Value>> fields;
-  fields.reserve(lit.fields.size());
-  for (const auto& [attr, value] : lit.fields)
-    fields.emplace_back(intern(attr), value);
-  return make(intern(lit.cls), fields);
-}
-
-const Wme* EngineBase::make(
-    SymbolId cls, const std::vector<std::pair<SymbolId, Value>>& fields) {
-  const Wme* wme = wm_.make(cls, wm_.build_fields(cls, fields));
-  pending_.emplace_back(wme, +1);
-  return wme;
-}
-
-void EngineBase::remove(TimeTag tag) {
-  const Wme* wme = wm_.find(tag);
-  if (!wme) throw std::invalid_argument("remove: no live wme with timetag");
-  pending_.emplace_back(wme, -1);
-  wm_.remove(wme);
-}
-
-void EngineBase::on_make(const Wme* wme) {
-  if (options_.watch >= 2 && options_.out)
-    *options_.out << "=>WM: " << wme->timetag << ": "
-                  << wme_to_string(*wme, program_) << "\n";
-  submit_change(wme, +1);
-}
-void EngineBase::on_remove(const Wme* wme) {
-  if (options_.watch >= 2 && options_.out)
-    *options_.out << "<=WM: " << wme->timetag << ": "
-                  << wme_to_string(*wme, program_) << "\n";
-  submit_change(wme, -1);
-}
-void EngineBase::on_write(const std::string& text) {
-  if (options_.out) *options_.out << text;
-}
-void EngineBase::on_halt() { halted_ = true; }
-
-EngineSnapshot EngineBase::snapshot_state() const {
-  EngineSnapshot snap;
-  snap.next_timetag = wm_.last_timetag() + 1;
-  for (const Wme* w : wm_.snapshot())
-    snap.wmes.push_back({w->timetag, w->cls, w->fields});
-  for (const Instantiation& inst : cs_.snapshot())
-    if (inst.fired) snap.fired.push_back({inst.prod_index, inst.tags_in_order()});
-  snap.trace = trace_;
-  snap.cycles = stats_.cycles;
-  snap.halted = halted_;
-  return snap;
-}
-
-void EngineBase::restore_state(const EngineSnapshot& snap) {
-  if (wm_.size() != 0 || !trace_.empty() || stats_.cycles != 0)
-    throw std::logic_error("restore_state: engine is not fresh");
-  for (const WmeSnapshot& w : snap.wmes) {
-    const Wme* wme = wm_.make_with_tag(w.timetag, w.cls, w.fields);
-    pending_.emplace_back(wme, +1);
-  }
-  wm_.set_next_tag(snap.next_timetag);
-  restored_fired_ = snap.fired;
-  trace_ = snap.trace;
-  stats_.cycles = snap.cycles;
-  stats_.firings = snap.cycles;
-  halted_ = snap.halted;
+    : options_(options), image_(program), cs_(program) {
+  ctl_.reset(program, options_.max_cycles);
 }
 
 void EngineBase::rr_quiescent_hook() {
-  if (options_.rr_faults) options_.rr_faults->set_cycle(stats_.cycles);
-  if (options_.rr_record) options_.rr_record->on_quiescent(wm_, cs_);
-  if (options_.rr_replay) options_.rr_replay->on_quiescent(wm_, cs_);
-}
-
-void EngineBase::apply_restored_refraction() {
-  for (const FiringRecord& rec : restored_fired_)
-    cs_.mark_fired(rec.prod_index, rec.timetags);
-  restored_fired_.clear();
+  if (options_.rr_faults) options_.rr_faults->set_cycle(ctl_.stats.cycles);
+  if (options_.rr_record) options_.rr_record->on_quiescent(*ctl_.wm, cs_);
+  if (options_.rr_replay) options_.rr_replay->on_quiescent(*ctl_.wm, cs_);
 }
 
 RunResult EngineBase::run() {
   using Clock = std::chrono::steady_clock;
   const auto run_start = Clock::now();
   begin_run();
-  running_ = true;
+  const Control::Submit submit = [this](const Wme* wme, std::int8_t sign) {
+    submit_change(wme, sign);
+  };
 
-  // Feed initial working memory to the matcher.
-  for (const auto& [wme, sign] : pending_) submit_change(wme, sign);
-  pending_.clear();
-  wait_quiescent();
-  wm_.collect();
-  apply_restored_refraction();
-  rr_quiescent_hook();
-
-  RunResult result;
-  while (true) {
-    if (halted_) {
-      result.reason = StopReason::Halt;
-      break;
-    }
-    if (stats_.cycles >= options_.max_cycles) {
-      result.reason = StopReason::MaxCycles;
-      break;
-    }
-    auto inst = cs_.select_and_fire(options_.strategy);
-    if (!inst) {
-      result.reason = StopReason::EmptyConflictSet;
-      break;
-    }
-    ++stats_.cycles;
-    ++stats_.firings;
-    FiringRecord rec;
-    rec.prod_index = inst->prod_index;
-    rec.timetags = inst->tags_in_order();
-    if (options_.watch >= 1 && options_.out) {
-      *options_.out << stats_.cycles << ". "
-                    << symbol_name(
-                           program_.productions()[inst->prod_index].name);
-      for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-      *options_.out << "\n";
-    }
-    trace_.push_back(std::move(rec));
-
-    run_rhs(rhs_[inst->prod_index], program_, inst->wmes, wm_, *this);
+  // Feed initial working memory to the matcher, then one recognize-act
+  // cycle per quiescent point.
+  ctl_.submit_pending(submit);
+  do {
     wait_quiescent();
-    wm_.collect();
+    ctl_.quiesced(cs_);
     rr_quiescent_hook();
-  }
+  } while (ctl_.cycle(image_, options_, cs_, submit));
 
-  running_ = false;
   end_run();
-  stats_.total_seconds +=
+  ctl_.stats.total_seconds +=
       std::chrono::duration<double>(Clock::now() - run_start).count();
-  result.stats = stats_;
-  return result;
+  return ctl_.result();
 }
 
 }  // namespace psme

@@ -1,8 +1,9 @@
 // Shared control-process logic for the OPS5 engines.
 //
-// EngineBase owns everything except match scheduling: the Rete network,
-// working memory, conflict set, compiled RHS code, and the recognize-act
-// cycle. Subclasses decide how a working-memory change reaches the matcher
+// EngineBase owns everything except match scheduling: the compiled program
+// image, the session's Control (working memory, trace, stats; see
+// engine/control.hpp), the conflict set, and the recognize-act cycle.
+// Subclasses decide how a working-memory change reaches the matcher
 // (inline, task queues + threads, or the Multimax simulator) and what
 // "wait for the match phase to finish" means.
 #pragma once
@@ -11,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "engine/control.hpp"
 #include "engine/options.hpp"
 #include "match/memory.hpp"
 #include "ops5/parser.hpp"
@@ -23,39 +25,21 @@
 
 namespace psme {
 
-// Full engine state at a quiescent point (between run() calls): enough to
-// reconstruct working memory, the timetag counter, conflict-set refraction,
-// and the firing-trace position in a fresh engine of any mode. Match
-// memories are NOT captured — restore_state() rebuilds them by replaying
-// the live wmes through the matcher, and the deterministic conflict
-// resolution guarantees the resumed run continues the original trace.
-// serve/checkpoint.hpp gives this a serialized form.
-struct WmeSnapshot {
-  TimeTag timetag = 0;
-  SymbolId cls = 0;
-  std::vector<Value> fields;
-};
-
-struct EngineSnapshot {
-  TimeTag next_timetag = 1;
-  std::vector<WmeSnapshot> wmes;      // live wmes, ascending timetag
-  std::vector<FiringRecord> fired;    // live-but-fired instantiations
-  std::vector<FiringRecord> trace;    // firing trace so far
-  std::uint64_t cycles = 0;
-  bool halted = false;
-};
-
-class EngineBase : public RhsEffects {
+class EngineBase {
  public:
   EngineBase(const ops5::Program& program, EngineOptions options);
-  ~EngineBase() override = default;
+  virtual ~EngineBase() = default;
 
   // Adds a wme before (or between) runs; e.g. "(goal ^type find)".
-  const Wme* make(std::string_view wme_literal);
+  const Wme* make(std::string_view wme_literal) {
+    return ctl_.make(wme_literal);
+  }
   const Wme* make(SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields);
+                  const std::vector<std::pair<SymbolId, Value>>& fields) {
+    return ctl_.make(cls, fields);
+  }
   // Removes a wme by timetag before (or between) runs.
-  void remove(TimeTag tag);
+  void remove(TimeTag tag) { ctl_.remove(tag); }
 
   // Runs recognize-act cycles until halt / empty conflict set / max_cycles.
   virtual RunResult run();
@@ -64,29 +48,25 @@ class EngineBase : public RhsEffects {
   // queued by make()/remove() since the last run are part of the state:
   // they restore as wmes the resumed run feeds to the matcher first, which
   // is exactly what the uninterrupted run would have done.
-  EngineSnapshot snapshot_state() const;
+  EngineSnapshot snapshot_state() const { return ctl_.snapshot(cs_); }
   // Injects a snapshot into a freshly constructed engine (no wmes made, no
   // runs yet). The next run() rebuilds the match memories from the restored
   // working memory and re-applies refraction before firing.
-  void restore_state(const EngineSnapshot& snap);
+  void restore_state(const EngineSnapshot& snap) { ctl_.restore(snap); }
 
   // Serving support: adjusts the recognize-act cycle cap between runs, so
   // a session can run in deadline-checked slices.
-  void set_max_cycles(std::uint64_t n) { options_.max_cycles = n; }
+  void set_max_cycles(std::uint64_t n) {
+    options_.max_cycles = ctl_.max_cycles = n;
+  }
 
-  const ops5::Program& program() const { return program_; }
-  const rete::Network& network() const { return *network_; }
-  const WorkingMemory& wm() const { return wm_; }
+  const ops5::Program& program() const { return image_.program; }
+  const rete::Network& network() const { return *image_.network; }
+  const WorkingMemory& wm() const { return *ctl_.wm; }
   ConflictSet& conflict_set() { return cs_; }
-  const std::vector<FiringRecord>& trace() const { return trace_; }
-  const RunStats& stats() const { return stats_; }
+  const std::vector<FiringRecord>& trace() const { return ctl_.trace; }
+  const RunStats& stats() const { return ctl_.stats; }
   const EngineOptions& options() const { return options_; }
-
-  // RhsEffects (control process only).
-  void on_make(const Wme* wme) final;
-  void on_remove(const Wme* wme) final;
-  void on_write(const std::string& text) final;
-  void on_halt() final;
 
  protected:
   // Delivers one wme change to the matcher. The parallel engine pushes a
@@ -98,35 +78,16 @@ class EngineBase : public RhsEffects {
   virtual void begin_run() {}
   virtual void end_run() {}
 
-  // Re-marks restored fired instantiations in the (rebuilt) conflict set.
-  // Called once per run, right after the initial match phase reaches
-  // quiescence; a no-op unless restore_state() queued refraction records.
-  void apply_restored_refraction();
-
   // Record/replay tap, called at every quiescent point (cycle boundary;
   // cycle 0 = initial wme load): advances the fault injector's cycle clock
   // and feeds WM/conflict-set digests to the recorder and/or replayer.
   // No-op unless EngineOptions carries rr hooks.
   void rr_quiescent_hook();
 
-  const ops5::Program& program_;
   EngineOptions options_;
-  std::unique_ptr<rete::Network> network_;
-  WorkingMemory wm_;
+  const ProgramImage image_;
   ConflictSet cs_;
-  std::vector<CompiledRhs> rhs_;
-  std::vector<FiringRecord> trace_;
-  RunStats stats_;
-  bool halted_ = false;
-
-  // Changes submitted before run() starts (consumed by run()).
-  std::vector<std::pair<const Wme*, std::int8_t>> pending_;
-  // Refraction records queued by restore_state(), consumed by the first
-  // run()'s apply_restored_refraction().
-  std::vector<FiringRecord> restored_fired_;
-
- private:
-  bool running_ = false;
+  Control ctl_;
 };
 
 }  // namespace psme

@@ -11,7 +11,7 @@ namespace psme {
 LispStyleEngine::LispStyleEngine(const ops5::Program& program,
                                  EngineOptions options)
     : EngineBase(program, options) {
-  memories_.resize(network_->joins().size());
+  memories_.resize(network().joins().size());
   compile_tests();
 }
 
@@ -53,8 +53,8 @@ void LispStyleEngine::compile_tests() {
   };
   auto op_sym = [](ops5::PredOp op) { return box(sym(ops5::pred_name(op))); };
 
-  alpha_exprs_.resize(network_->alphas().size());
-  for (const auto& prog : network_->alphas()) {
+  alpha_exprs_.resize(network().alphas().size());
+  for (const auto& prog : network().alphas()) {
     CompiledAlpha& ca = alpha_exprs_[prog->id];
     for (const rete::AlphaTest& t : prog->tests) {
       switch (t.kind) {
@@ -74,8 +74,8 @@ void LispStyleEngine::compile_tests() {
     }
   }
 
-  join_exprs_.resize(network_->joins().size());
-  for (const auto& j : network_->joins()) {
+  join_exprs_.resize(network().joins().size());
+  for (const auto& j : network().joins()) {
     CompiledJoin& cj = join_exprs_[j->id];
     for (const rete::EqTest& eq : j->eq_tests) {
       cj.tests.push_back(list3(op_sym(ops5::PredOp::Eq),
@@ -147,7 +147,7 @@ const Value& LispStyleEngine::field(const Wme* wme, std::uint16_t slot) {
   // Linear assq over the wme's association list, as the lisp matcher did.
   const PList& plist = plists_.at(wme);
   const SymbolId attr =
-      program_.class_of(wme->cls).slot_attrs[slot];
+      program().class_of(wme->cls).slot_attrs[slot];
   for (const auto& [key, box] : plist) {
     if (key == attr) return *box;
   }
@@ -185,7 +185,7 @@ bool LispStyleEngine::beta_match(const rete::JoinNode* j, const LToken& t,
 
 void LispStyleEngine::emit(const rete::JoinNode* j, const LToken& token,
                            std::int8_t sign) {
-  stats_.match.emissions += 1;
+  ctl_.stats.match.emissions += 1;
   for (const rete::Successor& s : j->succs) {
     if (s.terminal) {
       terminal_activate(s.terminal, token, sign);
@@ -198,8 +198,8 @@ void LispStyleEngine::emit(const rete::JoinNode* j, const LToken& token,
 void LispStyleEngine::terminal_activate(const rete::TerminalNode* t,
                                         const LToken& token,
                                         std::int8_t sign) {
-  stats_.match.node_activations += 1;
-  stats_.match.tasks_executed += 1;
+  ctl_.stats.match.node_activations += 1;
+  ctl_.stats.match.tasks_executed += 1;
   if (sign > 0) {
     cs_.insert(t->prod_index, token);
   } else {
@@ -209,8 +209,8 @@ void LispStyleEngine::terminal_activate(const rete::TerminalNode* t,
 
 void LispStyleEngine::left_activate(const rete::JoinNode* j,
                                     const LToken& token, std::int8_t sign) {
-  stats_.match.node_activations += 1;
-  stats_.match.tasks_executed += 1;
+  ctl_.stats.match.node_activations += 1;
+  ctl_.stats.match.tasks_executed += 1;
   JoinMemory& mem = memories_[j->id];
   const int si = side_index(Side::Left);
 
@@ -227,8 +227,8 @@ void LispStyleEngine::left_activate(const rete::JoinNode* j,
         }
       }
       if (examined > 0) {
-        stats_.match.same_del_examined[si] += examined;
-        stats_.match.same_del_activations[si] += 1;
+        ctl_.stats.match.same_del_examined[si] += examined;
+        ctl_.stats.match.same_del_activations[si] += 1;
       }
     }
     std::uint32_t examined = 0;
@@ -240,8 +240,8 @@ void LispStyleEngine::left_activate(const rete::JoinNode* j,
       emit(j, extended, sign);
     }
     if (examined > 0) {
-      stats_.match.opp_examined[si] += examined;
-      stats_.match.opp_activations[si] += 1;
+      ctl_.stats.match.opp_examined[si] += examined;
+      ctl_.stats.match.opp_activations[si] += 1;
     }
     return;
   }
@@ -255,8 +255,8 @@ void LispStyleEngine::left_activate(const rete::JoinNode* j,
       if (beta_match(j, token, w)) ++count;
     }
     if (examined > 0) {
-      stats_.match.opp_examined[si] += examined;
-      stats_.match.opp_activations[si] += 1;
+      ctl_.stats.match.opp_examined[si] += examined;
+      ctl_.stats.match.opp_activations[si] += 1;
     }
     mem.neg_left.push_back(NegEntry{token, count});
     if (count == 0) emit(j, token, +1);
@@ -272,16 +272,16 @@ void LispStyleEngine::left_activate(const rete::JoinNode* j,
       }
     }
     if (examined > 0) {
-      stats_.match.same_del_examined[si] += examined;
-      stats_.match.same_del_activations[si] += 1;
+      ctl_.stats.match.same_del_examined[si] += examined;
+      ctl_.stats.match.same_del_activations[si] += 1;
     }
   }
 }
 
 void LispStyleEngine::right_activate(const rete::JoinNode* j, const Wme* wme,
                                      std::int8_t sign) {
-  stats_.match.node_activations += 1;
-  stats_.match.tasks_executed += 1;
+  ctl_.stats.match.node_activations += 1;
+  ctl_.stats.match.tasks_executed += 1;
   JoinMemory& mem = memories_[j->id];
   const int si = side_index(Side::Right);
 
@@ -297,8 +297,8 @@ void LispStyleEngine::right_activate(const rete::JoinNode* j, const Wme* wme,
       }
     }
     if (examined > 0) {
-      stats_.match.same_del_examined[si] += examined;
-      stats_.match.same_del_activations[si] += 1;
+      ctl_.stats.match.same_del_examined[si] += examined;
+      ctl_.stats.match.same_del_activations[si] += 1;
     }
   }
 
@@ -312,8 +312,8 @@ void LispStyleEngine::right_activate(const rete::JoinNode* j, const Wme* wme,
       emit(j, extended, sign);
     }
     if (examined > 0) {
-      stats_.match.opp_examined[si] += examined;
-      stats_.match.opp_activations[si] += 1;
+      ctl_.stats.match.opp_examined[si] += examined;
+      ctl_.stats.match.opp_activations[si] += 1;
     }
     return;
   }
@@ -330,22 +330,22 @@ void LispStyleEngine::right_activate(const rete::JoinNode* j, const Wme* wme,
     }
   }
   if (examined > 0) {
-    stats_.match.opp_examined[si] += examined;
-    stats_.match.opp_activations[si] += 1;
+    ctl_.stats.match.opp_examined[si] += examined;
+    ctl_.stats.match.opp_activations[si] += 1;
   }
 }
 
 void LispStyleEngine::submit_change(const Wme* wme, std::int8_t sign) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  stats_.match.wme_changes += 1;
-  stats_.match.node_activations += 1;  // the root/alpha activation group
-  stats_.match.tasks_executed += 1;
+  ctl_.stats.match.wme_changes += 1;
+  ctl_.stats.match.node_activations += 1;  // the root/alpha activation group
+  ctl_.stats.match.tasks_executed += 1;
 
   if (sign > 0) {
     // Box the wme into an association list (the lisp representation).
     PList plist;
-    const ops5::ClassInfo& info = program_.class_of(wme->cls);
+    const ops5::ClassInfo& info = program().class_of(wme->cls);
     plist.reserve(wme->fields.size());
     for (std::size_t s = 0; s < wme->fields.size(); ++s) {
       plist.emplace_back(info.slot_attrs[s],
@@ -354,7 +354,7 @@ void LispStyleEngine::submit_change(const Wme* wme, std::int8_t sign) {
     plists_.emplace(wme, std::move(plist));
   }
 
-  const auto* alphas = network_->alphas_for_class(wme->cls);
+  const auto* alphas = network().alphas_for_class(wme->cls);
   if (alphas) {
     for (const rete::AlphaProgram* prog : *alphas) {
       if (!alpha_pass(*prog, wme)) continue;
@@ -372,7 +372,7 @@ void LispStyleEngine::submit_change(const Wme* wme, std::int8_t sign) {
   }
 
   if (sign < 0) plists_.erase(wme);
-  stats_.match_seconds +=
+  ctl_.stats.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }
 

@@ -41,7 +41,7 @@ ParallelEngine::ParallelEngine(const ops5::Program& program,
       // not the requested bucket count: line_of() indexes the rounded
       // space, and a non-power-of-two request would otherwise leave lines
       // without locks.
-      pool_(*network_, options_.match_vm ? &network_->code() : nullptr,
+      pool_(network(), options_.match_vm ? &network().code() : nullptr,
             options_.match_processes, make_pool_scheduler(options_),
             left_table_.size(), options_.lock_scheme,
             {{&world_, arenas_.data(), 0}},
@@ -49,9 +49,9 @@ ParallelEngine::ParallelEngine(const ops5::Program& program,
 
 ParallelEngine::~ParallelEngine() = default;
 
-void ParallelEngine::begin_run() { pool_.begin_run(stats_.match); }
+void ParallelEngine::begin_run() { pool_.begin_run(ctl_.stats.match); }
 
-void ParallelEngine::end_run() { pool_.end_run(stats_.match); }
+void ParallelEngine::end_run() { pool_.end_run(ctl_.stats.match); }
 
 void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {
   if (!phase_open_) {
@@ -62,7 +62,7 @@ void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {
   root.kind = match::TaskKind::Root;
   root.sign = sign;
   root.wme = wme;
-  pool_.scheduler().push(root, pool_.control_ep(), stats_.match);
+  pool_.scheduler().push(root, pool_.control_ep(), ctl_.stats.match);
 }
 
 void ParallelEngine::wait_quiescent() {
@@ -72,7 +72,7 @@ void ParallelEngine::wait_quiescent() {
   pool_.wait_quiescent();
   if (phase_open_) {
     phase_open_ = false;
-    stats_.match_seconds +=
+    ctl_.stats.match_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       phase_start_)
             .count();

@@ -27,7 +27,7 @@ class ParallelEngine : public EngineBase {
   ~ParallelEngine() override;
 
   // Aggregated match-process statistics (valid after run()).
-  const MatchStats& match_stats() const { return stats_.match; }
+  const MatchStats& match_stats() const { return ctl_.stats.match; }
 
   // Pool lifetime counters: threads created so far, and runs started.
   // threads_spawned() stays at match_processes however many runs execute —

@@ -16,13 +16,13 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
     world_.right_table = right_table_.get();
   } else {
     list_mems_ =
-        std::make_unique<match::ListMemories>(network_->num_list_memories());
+        std::make_unique<match::ListMemories>(network().num_list_memories());
     world_.list_mems = list_mems_.get();
   }
   world_.conflict_set = &cs_;
   ctx_.arena = &arena_;
-  ctx_.stats = &stats_.match;
-  if (options_.match_vm) ctx_.code = &network_->code();
+  ctx_.stats = &ctl_.stats.match;
+  if (options_.match_vm) ctx_.code = &network().code();
 }
 
 void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {
@@ -41,11 +41,11 @@ void SequentialEngine::drain() {
     const match::Task task = queue_.front();
     queue_.pop_front();
     emit_buf_.clear();
-    match::process_task(ctx_, world_, *network_, task, emit_buf_);
+    match::process_task(ctx_, world_, network(), task, emit_buf_);
     for (const match::Task& t : emit_buf_) queue_.push_back(t);
-    stats_.match.tasks_executed += 1;
+    ctl_.stats.match.tasks_executed += 1;
   }
-  stats_.match_seconds +=
+  ctl_.stats.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }
 

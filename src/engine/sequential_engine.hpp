@@ -14,7 +14,7 @@ class SequentialEngine : public EngineBase {
  public:
   SequentialEngine(const ops5::Program& program, EngineOptions options);
 
-  const MatchStats& match_stats() const { return stats_.match; }
+  const MatchStats& match_stats() const { return ctl_.stats.match; }
 
  protected:
   void submit_change(const Wme* wme, std::int8_t sign) override;

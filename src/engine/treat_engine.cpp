@@ -149,7 +149,7 @@ void TreatEngine::seek(CompiledProduction& prod, std::size_t ce_index,
 void TreatEngine::submit_change(const Wme* wme, std::int8_t sign) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  stats_.match.wme_changes += 1;
+  ctl_.stats.match.wme_changes += 1;
 
   if (sign > 0) {
     // Phase 1: admit the wme into every alpha memory it satisfies.
@@ -159,7 +159,7 @@ void TreatEngine::submit_change(const Wme* wme, std::int8_t sign) {
         if (!alpha_match(prod.ces[ci], wme)) continue;
         prod.ces[ci].memory.push_back(wme);
         hits.emplace_back(&prod, ci);
-        stats_.match.node_activations += 1;
+        ctl_.stats.match.node_activations += 1;
       }
     }
     // Phase 2: positive hits seek new instantiations; negated hits retract
@@ -189,7 +189,7 @@ void TreatEngine::submit_change(const Wme* wme, std::int8_t sign) {
         auto it = std::find(ce.memory.begin(), ce.memory.end(), wme);
         if (it == ce.memory.end()) continue;
         ce.memory.erase(it);
-        stats_.match.node_activations += 1;
+        ctl_.stats.match.node_activations += 1;
         if (ce.negated) negated_hit = true;
       }
       if (negated_hit) reseek.push_back(&prod);
@@ -201,7 +201,7 @@ void TreatEngine::submit_change(const Wme* wme, std::int8_t sign) {
       seek(*prod, 0, /*pinned_ce=*/-1, nullptr, bound);
     }
   }
-  stats_.match_seconds +=
+  ctl_.stats.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }
 

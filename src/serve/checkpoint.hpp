@@ -1,6 +1,6 @@
 // Working-memory checkpoints: serialize/restore a quiescent engine.
 //
-// A checkpoint is the serialized form of EngineSnapshot (engine_base.hpp):
+// A checkpoint is the serialized form of EngineSnapshot (engine/control.hpp):
 // live wmes with their original timetags, the timetag counter, the
 // conflict set's refraction state (which live instantiations already
 // fired), and the firing trace position. Match memories are deliberately

@@ -4,41 +4,16 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/symbol_table.hpp"
 #include "obs/metrics.hpp"
-#include "ops5/parser.hpp"
 #include "rr/digest.hpp"
 #include "serve/checkpoint.hpp"
 #include "shard/partition.hpp"
 
 namespace psme::shard {
 
-// Routes one session's RHS effects into its pending-delta queue; the WM
-// mutation itself already happened (run_rhs edits the coordinator WM).
-class ShardGroup::GroupEffects final : public RhsEffects {
- public:
-  GroupEffects(ShardGroup& g, Session& s) : g_(g), s_(s) {}
-  void on_make(const Wme* wme) override { s_.pending.emplace_back(wme, +1); }
-  void on_remove(const Wme* wme) override {
-    s_.pending.emplace_back(wme, -1);
-  }
-  void on_write(const std::string& text) override {
-    if (g_.options_.out) *g_.options_.out << text;
-  }
-  void on_halt() override { s_.halted = true; }
-
- private:
-  ShardGroup& g_;
-  Session& s_;
-};
-
 ShardGroup::ShardGroup(const ops5::Program& program, EngineOptions options,
                        ShardGroupConfig cfg)
-    : program_(program),
-      options_(options),
-      cfg_(cfg),
-      network_(rete::build_network(program)),
-      cr_(program) {
+    : image_(program), options_(options), cfg_(cfg), cr_(program) {
   if (cfg_.shards == 0)
     throw std::invalid_argument("ShardGroup: need at least one shard");
   if (cfg_.sessions == 0)
@@ -47,33 +22,30 @@ ShardGroup::ShardGroup(const ops5::Program& program, EngineOptions options,
     throw std::invalid_argument(
         "ShardGroup: record/replay hooks are single-engine; use "
         "set_digest_capture for per-cycle digests");
-  rhs_.reserve(program.productions().size());
-  for (const auto& prod : program.productions())
-    rhs_.push_back(compile_rhs(program, prod));
   sessions_.resize(cfg_.sessions);
   for (std::uint32_t i = 0; i < cfg_.sessions; ++i) {
     sessions_[i] = std::make_unique<Session>();
+    sessions_[i]->reset(program, options_.max_cycles);
     sessions_[i]->id = i;
-    sessions_[i]->wm = std::make_unique<WorkingMemory>(program_);
-    sessions_[i]->max_cycles = options_.max_cycles;
+    sessions_[i]->watch_prefix = "[s" + std::to_string(i) + "] ";
   }
   out_.resize(cfg_.shards);
   epoch_.resize(cfg_.shards, 0);
   stats_.replicated_nodes =
-      PartitionPlan::build(*network_, cfg_.keyless, cfg_.shards)
+      PartitionPlan::build(*image_.network, cfg_.keyless, cfg_.shards)
           .replicated_nodes;
 
   ShardConfig sc;
   sc.shards = cfg_.shards;
   sc.sessions = cfg_.sessions;
-  sc.fingerprint = serve::Checkpoint::fingerprint_of(program_);
+  sc.fingerprint = serve::Checkpoint::fingerprint_of(program);
   sc.cost = cfg_.cost;
   sc.keyless = cfg_.keyless;
   std::vector<ShardState*> raw;
   for (std::uint16_t k = 0; k < cfg_.shards; ++k) {
     sc.self = k;
     shards_.push_back(
-        std::make_unique<ShardState>(program_, *network_, options_, sc));
+        std::make_unique<ShardState>(program, *image_.network, options_, sc));
     raw.push_back(shards_.back().get());
   }
   // SocketTransport forks here, inheriting the compiled image COW.
@@ -299,31 +271,20 @@ void ShardGroup::exchange_overlapped(
 }
 
 const Wme* ShardGroup::make(std::uint32_t si, std::string_view wme_literal) {
-  const ops5::WmeLiteral lit = ops5::parse_wme_literal(wme_literal);
-  std::vector<std::pair<SymbolId, Value>> fields;
-  fields.reserve(lit.fields.size());
-  for (const auto& [attr, value] : lit.fields)
-    fields.emplace_back(intern(attr), value);
-  return make(si, intern(lit.cls), fields);
+  std::lock_guard<std::mutex> lk(mu_);
+  return session(si).make(wme_literal);
 }
 
 const Wme* ShardGroup::make(
     std::uint32_t si, SymbolId cls,
     const std::vector<std::pair<SymbolId, Value>>& fields) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  const Wme* wme = s.wm->make(cls, s.wm->build_fields(cls, fields));
-  s.pending.emplace_back(wme, +1);
-  return wme;
+  return session(si).make(cls, fields);
 }
 
 void ShardGroup::remove(std::uint32_t si, TimeTag tag) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  const Wme* wme = s.wm->find(tag);
-  if (!wme) throw std::invalid_argument("remove: no live wme with timetag");
-  s.pending.emplace_back(wme, -1);
-  s.wm->remove(wme);
+  session(si).remove(tag);
 }
 
 void ShardGroup::set_max_cycles(std::uint32_t si, std::uint64_t n) {
@@ -332,7 +293,7 @@ void ShardGroup::set_max_cycles(std::uint32_t si, std::uint64_t n) {
 }
 
 void ShardGroup::flush_pending(Session& s) {
-  for (const auto& [wme, sign] : s.pending) {
+  s.submit_pending([&](const Wme* wme, std::int8_t sign) {
     WmDeltaFrame f;
     f.session = s.id;
     f.sign = sign;
@@ -344,8 +305,7 @@ void ShardGroup::flush_pending(Session& s) {
     // Broadcast: every shard runs the alpha net and keeps its partition.
     for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).wm_delta(f);
     stats_.deltas += 1;
-  }
-  s.pending.clear();
+  });
 }
 
 void ShardGroup::match_round(
@@ -425,18 +385,12 @@ void ShardGroup::capture_digests(const std::vector<std::uint32_t>& ids) {
 std::vector<std::uint32_t> ShardGroup::fire_phase(
     const std::vector<std::uint32_t>& candidates) {
   std::vector<std::uint32_t> fired;
-  // Stop checks mirror BatchEngine::fire_one, then one batched peek.
+  // The Control's stop check, then one batched peek.
   std::vector<std::uint32_t> peeking;
   for (const std::uint32_t id : candidates) {
     Session& s = session(id);
     if (!s.live) continue;
-    if (s.halted) {
-      s.last_reason = StopReason::Halt;
-      s.live = false;
-      continue;
-    }
-    if (s.stats.cycles >= s.max_cycles) {
-      s.last_reason = StopReason::MaxCycles;
+    if (s.stopped()) {
       s.live = false;
       continue;
     }
@@ -454,12 +408,7 @@ std::vector<std::uint32_t> ShardGroup::fire_phase(
     if (f.inst.present) proposals[f.inst.session].emplace_back(k, f.inst);
   });
 
-  struct Winner {
-    std::uint32_t session;
-    std::uint32_t prod_index;
-    std::vector<const Wme*> wmes;
-  };
-  std::vector<Winner> winners;
+  std::vector<std::pair<std::uint32_t, Instantiation>> winners;
   for (const std::uint32_t id : peeking) {
     Session& s = session(id);
     auto it = proposals.find(id);
@@ -494,32 +443,19 @@ std::vector<std::uint32_t> ShardGroup::fire_phase(
       }
     }
     to(best->first).fire(best->second);
-    winners.push_back({id, best_inst.prod_index, best_inst.wmes});
+    winners.emplace_back(id, std::move(best_inst));
     fired.push_back(id);
   }
   // Refraction lands on the winners' shards before any new deltas move.
   exchange(/*priced=*/true);
 
-  // Act phase: the coordinator owns trace + RHS, as the control process
-  // does in every other engine.
-  for (const Winner& w : winners) {
-    Session& s = session(w.session);
-    ++s.stats.cycles;
-    ++s.stats.firings;
-    FiringRecord rec;
-    rec.prod_index = w.prod_index;
-    rec.timetags.reserve(w.wmes.size());
-    for (const Wme* wme : w.wmes) rec.timetags.push_back(wme->timetag);
-    if (options_.watch >= 1 && options_.out) {
-      *options_.out << "[s" << s.id << "] " << s.stats.cycles << ". "
-                    << symbol_name(
-                           program_.productions()[w.prod_index].name);
-      for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-      *options_.out << "\n";
-    }
-    s.trace.push_back(std::move(rec));
-    GroupEffects fx(*this, s);
-    run_rhs(rhs_[w.prod_index], program_, w.wmes, *s.wm, fx);
+  // Act phase: the coordinator's Control records the firing and runs the
+  // RHS; its changes queue as the next round's deltas.
+  for (const auto& [id, inst] : winners) {
+    Session& s = session(id);
+    s.fire(image_, options_, inst, [&s](const Wme* wme, std::int8_t sign) {
+      s.pending.emplace_back(wme, sign);
+    });
   }
   return fired;
 }
@@ -550,11 +486,7 @@ void ShardGroup::run_all() {
 RunResult ShardGroup::run_session(std::uint32_t si) {
   std::lock_guard<std::mutex> lk(mu_);
   run_session_locked(si);
-  const Session& s = session(si);
-  RunResult r;
-  r.reason = s.last_reason;
-  r.stats = s.stats;
-  return r;
+  return session(si).result();
 }
 
 void ShardGroup::run_session_locked(std::uint32_t si) {
@@ -576,11 +508,7 @@ void ShardGroup::run_session_locked(std::uint32_t si) {
 
 RunResult ShardGroup::result(std::uint32_t si) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const Session& s = session(si);
-  RunResult r;
-  r.reason = s.last_reason;
-  r.stats = s.stats;
-  return r;
+  return session(si).result();
 }
 
 const RunStats& ShardGroup::run_stats(std::uint32_t si) const {
@@ -612,12 +540,8 @@ const std::vector<ShardGroup::CsDetailRow>& ShardGroup::cs_detail(
 
 EngineSnapshot ShardGroup::snapshot_session(std::uint32_t si) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  EngineSnapshot snap;
-  snap.next_timetag = s.wm->last_timetag() + 1;
-  for (const Wme* wme : s.wm->snapshot())
-    snap.wmes.push_back({wme->timetag, wme->cls, wme->fields});
   // The fired (refraction) set lives on the owning shards.
+  std::vector<FiringRecord> fired;
   for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).fired_query(si);
   exchange(/*priced=*/false, [&](std::uint16_t, const Frame& f) {
     if (f.type != FrameType::FiredReply)
@@ -626,13 +550,10 @@ EngineSnapshot ShardGroup::snapshot_session(std::uint32_t si) {
       FiringRecord rec;
       rec.prod_index = inst.prod_index;
       rec.timetags.assign(inst.tags.begin(), inst.tags.end());
-      snap.fired.push_back(std::move(rec));
+      fired.push_back(std::move(rec));
     }
   });
-  snap.trace = s.trace;
-  snap.cycles = s.stats.cycles;
-  snap.halted = s.halted;
-  return snap;
+  return session(si).snapshot(std::move(fired));
 }
 
 void ShardGroup::reset_session(std::uint32_t si) {
@@ -640,15 +561,8 @@ void ShardGroup::reset_session(std::uint32_t si) {
   Session& s = session(si);
   for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).reset_session(si);
   exchange(/*priced=*/false);
-  s.wm = std::make_unique<WorkingMemory>(program_);
-  s.trace.clear();
-  s.stats = RunStats{};
-  s.halted = false;
+  s.reset(image_.program, options_.max_cycles);
   s.live = false;
-  s.max_cycles = options_.max_cycles;
-  s.last_reason = StopReason::EmptyConflictSet;
-  s.pending.clear();
-  s.restored_fired.clear();
   s.digests.clear();
   s.cs_detail.clear();
 }
@@ -656,20 +570,7 @@ void ShardGroup::reset_session(std::uint32_t si) {
 void ShardGroup::restore_session(std::uint32_t si,
                                  const EngineSnapshot& snap) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  if (s.wm->size() != 0 || !s.trace.empty() || s.stats.cycles != 0)
-    throw std::logic_error(
-        "restore_session: session is not fresh (reset first)");
-  for (const WmeSnapshot& ws : snap.wmes) {
-    const Wme* wme = s.wm->make_with_tag(ws.timetag, ws.cls, ws.fields);
-    s.pending.emplace_back(wme, +1);
-  }
-  s.wm->set_next_tag(snap.next_timetag);
-  s.restored_fired = snap.fired;
-  s.trace = snap.trace;
-  s.stats.cycles = snap.cycles;
-  s.stats.firings = snap.cycles;
-  s.halted = snap.halted;
+  session(si).restore(snap);
 }
 
 GroupStats ShardGroup::group_stats_locked() {

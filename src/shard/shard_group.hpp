@@ -62,9 +62,8 @@
 #include <string_view>
 #include <vector>
 
+#include "engine/control.hpp"
 #include "engine/options.hpp"
-#include "rete/builder.hpp"
-#include "runtime/rhs.hpp"
 #include "shard/shard.hpp"
 #include "shard/transport.hpp"
 #include "sim/cost_model.hpp"
@@ -121,8 +120,8 @@ class ShardGroup {
   std::uint16_t num_shards() const { return cfg_.shards; }
   std::uint32_t num_sessions() const { return cfg_.sessions; }
   TransportKind transport_kind() const { return cfg_.transport; }
-  const ops5::Program& program() const { return program_; }
-  const rete::Network& network() const { return *network_; }
+  const ops5::Program& program() const { return image_.program; }
+  const rete::Network& network() const { return *image_.network; }
   const EngineOptions& options() const { return options_; }
 
   // Working-memory edits between runs, addressed by session.
@@ -144,7 +143,7 @@ class ShardGroup {
   const std::vector<FiringRecord>& trace(std::uint32_t session) const;
   const WorkingMemory& wm(std::uint32_t session) const;
 
-  // Checkpoints (psme.checkpoint.v1 payload, engine_base.hpp). The fired
+  // Checkpoints (psme.checkpoint.v1 payload, engine/control.hpp). The fired
   // list is gathered from the owning shards (FiredQuery); restore
   // replays wmes through the coordinator WM and re-applies refraction on
   // the shards at the next run's first quiescence.
@@ -175,24 +174,17 @@ class ShardGroup {
   void export_obs(obs::Registry& registry);
 
  private:
-  // Coordinator-side session state: the authoritative WM (timetags are
-  // assigned here and broadcast), trace, stop bookkeeping, and the
-  // pending deltas produced by make/remove/RHS since the last flush.
-  struct Session {
+  // Coordinator-side session state: a Control (engine/control.hpp) whose
+  // WM is the authoritative one (timetags are assigned here and
+  // broadcast) and whose `pending` changes become the next flush's
+  // deltas. Its refraction set lives on the shards, not in a local
+  // conflict set.
+  struct Session : Control {
     std::uint32_t id = 0;
-    std::unique_ptr<WorkingMemory> wm;
-    std::vector<FiringRecord> trace;
-    RunStats stats;
-    bool halted = false;
     bool live = false;
-    std::uint64_t max_cycles = 1'000'000;
-    StopReason last_reason = StopReason::EmptyConflictSet;
-    std::vector<std::pair<const Wme*, std::int8_t>> pending;
-    std::vector<FiringRecord> restored_fired;
     std::vector<world::World::DigestRow> digests;
     std::vector<CsDetailRow> cs_detail;
   };
-  class GroupEffects;
 
   Session& session(std::uint32_t id);
   const Session& session(std::uint32_t id) const;
@@ -219,18 +211,17 @@ class ShardGroup {
   // Delta exchange + (restore refraction) + quiesce barrier.
   void match_round(const std::vector<std::uint32_t>& refraction_for);
   void capture_digests(const std::vector<std::uint32_t>& ids);
-  // One select+fire round over `candidates`; returns the sessions that
-  // fired (BatchEngine::fire_one semantics per session).
+  // One select+fire round over `candidates`: the Control's stop check,
+  // the peek/propose exchange, then Control::fire for each winner.
+  // Returns the sessions that fired.
   std::vector<std::uint32_t> fire_phase(
       const std::vector<std::uint32_t>& candidates);
   void run_session_locked(std::uint32_t id);
   GroupStats group_stats_locked();
 
-  const ops5::Program& program_;
+  const ProgramImage image_;
   EngineOptions options_;
   ShardGroupConfig cfg_;
-  std::unique_ptr<rete::Network> network_;
-  std::vector<CompiledRhs> rhs_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<Session>> sessions_;

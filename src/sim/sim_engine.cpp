@@ -41,7 +41,7 @@ SimEngine::SimEngine(const ops5::Program& program, EngineOptions options,
 SimEngine::~SimEngine() = default;
 
 void SimEngine::submit_change(const Wme* wme, std::int8_t sign) {
-  rhs_buffer_.emplace_back(wme, sign);
+  ctl_.pending.emplace_back(wme, sign);
 }
 
 VTime SimEngine::update_cost(const match::MemUpdate& up,
@@ -623,7 +623,7 @@ Proc SimEngine::worker_main(WorkerState& w) {
     switch (task.kind) {
       case match::TaskKind::Root: {
         match::ActivationCost ac;
-        match::process_root(w.ctx, world_, *network_, task, emit, &ac);
+        match::process_root(w.ctx, world_, network(), task, emit, &ac);
         co_await sched_->spend(
             cpu, ac.vm_used ? cm.root_cost_vm(ac.vm_loads, ac.vm_tests,
                                               ac.vm_branches, emit.size())
@@ -741,21 +741,15 @@ Proc SimEngine::control_main() {
   };
 
   // Initial working memory.
-  co_await push_changes(std::move(pending_));
-  pending_.clear();
-  wm_.collect();
-  apply_restored_refraction();
+  co_await push_changes(std::move(ctl_.pending));
+  ctl_.pending.clear();
+  ctl_.quiesced(cs_);
   rr_quiescent_hook();
 
-  for (;;) {
-    if (halted_) {
-      stop_reason_ = StopReason::Halt;
-      break;
-    }
-    if (stats_.cycles >= options_.max_cycles) {
-      stop_reason_ = StopReason::MaxCycles;
-      break;
-    }
+  const Control::Submit submit = [this](const Wme* wme, std::int8_t sign) {
+    submit_change(wme, sign);
+  };
+  while (!ctl_.stopped()) {
     VTime cr_cost =
         cm.cr_base + cm.cr_per_instantiation * static_cast<VTime>(cs_.size());
     if (config_.overlap_cr) {
@@ -767,28 +761,15 @@ Proc SimEngine::control_main() {
     co_await sched_->spend(cpu, cr_cost);
     auto inst = cs_.select_and_fire(options_.strategy);
     if (!inst) {
-      stop_reason_ = StopReason::EmptyConflictSet;
+      ctl_.last_reason = StopReason::EmptyConflictSet;
       break;
     }
-    ++stats_.cycles;
-    ++stats_.firings;
-    FiringRecord rec;
-    rec.prod_index = inst->prod_index;
-    rec.timetags = inst->tags_in_order();
-    if (options_.watch >= 1 && options_.out) {
-      *options_.out << stats_.cycles << ". "
-                    << symbol_name(
-                           program_.productions()[inst->prod_index].name);
-      for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-      *options_.out << "\n";
-    }
-    trace_.push_back(std::move(rec));
-
-    rhs_buffer_.clear();
-    run_rhs(rhs_[inst->prod_index], program_, inst->wmes, wm_, *this);
-    co_await push_changes(std::move(rhs_buffer_));
-    rhs_buffer_.clear();
-    wm_.collect();
+    // The RHS runs natively; its changes queue in ctl_.pending
+    // (submit_change) and are pushed with their virtual costs.
+    ctl_.fire(image_, options_, *inst, submit);
+    co_await push_changes(std::move(ctl_.pending));
+    ctl_.pending.clear();
+    ctl_.quiesced(cs_);
     rr_quiescent_hook();
   }
 
@@ -836,7 +817,7 @@ RunResult SimEngine::run() {
       w->ctx.strategy = match::MemoryStrategy::Hash;
       w->ctx.arena = &w->arena;
       w->ctx.stats = &w->stats;
-      if (options_.match_vm) w->ctx.code = &network_->code();
+      if (options_.match_vm) w->ctx.code = &network().code();
       workers_.push_back(std::move(w));
     }
   }
@@ -857,23 +838,20 @@ RunResult SimEngine::run() {
 
   VTime end_time = control_cpu_->now;
   for (auto& w : workers_) {
-    stats_.match.merge(w->stats);
+    ctl_.stats.match.merge(w->stats);
     // Reset after merging so the next run() doesn't double-count (the obs
     // shard pointers are re-attached at the top of the next run).
     w->stats = MatchStats{};
     end_time = std::max(end_time, w->cpu->now);
     w->cpu = nullptr;
   }
-  stats_.match.merge(control_stats_);
+  ctl_.stats.match.merge(control_stats_);
   control_stats_ = MatchStats{};
-  stats_.sim_match_seconds = config_.cost.to_seconds(sim_match_time_);
+  ctl_.stats.sim_match_seconds = config_.cost.to_seconds(sim_match_time_);
   sim_total_seconds_ = config_.cost.to_seconds(end_time);
   sched_.reset();
 
-  RunResult result;
-  result.reason = stop_reason_;
-  result.stats = stats_;
-  return result;
+  return ctl_.result();
 }
 
 }  // namespace psme::sim

@@ -52,10 +52,10 @@ class SimEngine : public EngineBase {
 
   RunResult run() override;
 
-  const MatchStats& match_stats() const { return stats_.match; }
+  const MatchStats& match_stats() const { return ctl_.stats.match; }
   // Virtual seconds spent in match (sum over cycles of first-change-pushed
   // to TaskCount==0), at the cost model's clock rate.
-  double sim_match_seconds() const { return stats_.sim_match_seconds; }
+  double sim_match_seconds() const { return ctl_.stats.sim_match_seconds; }
   double sim_total_seconds() const { return sim_total_seconds_; }
 
  protected:
@@ -166,11 +166,8 @@ class SimEngine : public EngineBase {
   SleepList idle_workers_;
   SleepList control_wait_;
   bool shutdown_ = false;
-  StopReason stop_reason_ = StopReason::EmptyConflictSet;
   VTime sim_match_time_ = 0;
 
-  // RHS change buffer (filled natively by run_rhs, replayed with costs).
-  std::vector<std::pair<const Wme*, std::int8_t>> rhs_buffer_;
   double sim_total_seconds_ = 0;
 };
 

@@ -48,15 +48,19 @@ class BatchEngine {
   std::uint32_t num_worlds() const { return pool_.size(); }
   World& world(std::uint32_t w) { return pool_.world(w); }
   const World& world(std::uint32_t w) const { return pool_.world(w); }
-  const ops5::Program& program() const { return pool_.program(); }
-  const rete::Network& network() const { return pool_.network(); }
+  const ops5::Program& program() const { return pool_.image().program; }
+  const rete::Network& network() const { return *pool_.image().network; }
   const EngineOptions& options() const { return options_; }
 
   // Working-memory edits between runs, addressed by world.
-  const Wme* make(std::uint32_t w, std::string_view wme_literal);
+  const Wme* make(std::uint32_t w, std::string_view wme_literal) {
+    return pool_.world(w).make(wme_literal);
+  }
   const Wme* make(std::uint32_t w, SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields);
-  void remove(std::uint32_t w, TimeTag tag);
+                  const std::vector<std::pair<SymbolId, Value>>& fields) {
+    return pool_.world(w).make(cls, fields);
+  }
+  void remove(std::uint32_t w, TimeTag tag) { pool_.world(w).remove(tag); }
   void set_max_cycles(std::uint32_t w, std::uint64_t n) {
     pool_.world(w).max_cycles = n;
   }
@@ -69,16 +73,18 @@ class BatchEngine {
   // to call concurrently for DIFFERENT worlds.
   RunResult run_world(std::uint32_t w);
   // Stop reason + stats of the world's last run.
-  RunResult result(std::uint32_t w) const;
+  RunResult result(std::uint32_t w) const { return pool_.world(w).result(); }
 
   // Checkpoints (psme.checkpoint.v1 payload; serve/checkpoint.hpp wraps
   // this with the program fingerprint).
   EngineSnapshot snapshot_world(std::uint32_t w) const {
-    return pool_.snapshot_world(w);
+    return pool_.world(w).snapshot(*pool_.world(w).cs);
   }
-  void reset_world(std::uint32_t w) { pool_.reset_world(w); }
+  void reset_world(std::uint32_t w) {
+    reset_world_state(pool_.world(w), program(), options_, pool_.endpoints());
+  }
   void restore_world(std::uint32_t w, const EngineSnapshot& snap) {
-    pool_.restore_world(w, snap);
+    pool_.world(w).restore(snap);
   }
 
   // Per-cycle digest capture (rr::wm_digest / rr::cs_digest at every
@@ -90,17 +96,12 @@ class BatchEngine {
   const MatchStats& match_stats() const { return batch_match_stats_; }
 
  private:
-  // Per-world RhsEffects: routes a production's WM changes back into this
-  // engine as (world, root-task) submissions.
-  class WorldEffects;
-
   void submit_change(World& w, const Wme* wme, std::int8_t sign);
   void drain_world_queue(World& w);  // inline mode
-  void apply_restored_refraction(World& w);
-  void capture_digest(World& w);
-  // One world's recognize-act select+fire; returns false when the world
-  // is finished (live cleared, last_reason set).
-  bool fire_one(World& w);
+  // Routes a world's WM changes into the batch as (world, root-task) pairs.
+  Control::Submit submit_to(World& w);
+  // A world's quiescent point: Control::quiesced, then its digest row.
+  void quiescent(World& w);
 
   EngineOptions options_;
   WorldPool pool_;

@@ -26,40 +26,29 @@
 #include <memory>
 #include <vector>
 
-#include "engine/engine_base.hpp"
+#include "engine/control.hpp"
 #include "match/kernel.hpp"
 #include "match/memory.hpp"
 #include "match/task.hpp"
 
 namespace psme::world {
 
-// One session's mutable state. Not movable once initialized (the
-// WorldContext holds interior pointers); WorldPool stores worlds behind
-// unique_ptr.
-struct World {
+// One session's mutable state: its Control (engine/control.hpp: WM, trace,
+// stats, stop bookkeeping) plus its match state. Not movable once
+// initialized (the WorldContext holds interior pointers); WorldPool stores
+// worlds behind unique_ptr.
+struct World : Control {
   std::uint32_t id = 0;
   // Per-world RNG seed: splitmix-style mix of EngineOptions::seed and the
   // world id. The engine never consumes it — it is the deterministic
   // per-world variation source for benches and tests.
   std::uint64_t seed = 0;
 
-  std::unique_ptr<WorkingMemory> wm;
   std::unique_ptr<ConflictSet> cs;
   std::unique_ptr<match::HashTokenTable> left_table;
   std::unique_ptr<match::HashTokenTable> right_table;
   std::vector<match::BumpArena> arenas;  // one per scheduler endpoint
   match::WorldContext ctx;               // views over the tables + cs
-
-  std::vector<FiringRecord> trace;
-  RunStats stats;
-  bool halted = false;
-  std::uint64_t max_cycles = 1'000'000;
-  StopReason last_reason = StopReason::EmptyConflictSet;
-
-  // Changes queued by make()/remove() since the last run.
-  std::vector<std::pair<const Wme*, std::int8_t>> pending;
-  // Refraction records queued by restore_world().
-  std::vector<FiringRecord> restored_fired;
 
   // Inline-mode match queue (match_processes == 0): per-world so
   // concurrent run_world() calls on different worlds never share state.
@@ -81,19 +70,17 @@ struct World {
 
 // Shared World lifecycle, usable without a WorldPool (the shard engines
 // build per-session Worlds over their own shared image; see
-// src/shard/shard.hpp). All four keep psme.checkpoint.v1 semantics.
+// src/shard/shard.hpp). Checkpoints are the Control's own snapshot() and
+// restore() (psme.checkpoint.v1 semantics).
 void init_world(World& w, std::uint32_t id, const ops5::Program& program,
                 const EngineOptions& options, int endpoints);
-EngineSnapshot snapshot_world_state(const World& w);
 // Poisons the arenas and rebuilds the mutable state empty.
 void reset_world_state(World& w, const ops5::Program& program,
                        const EngineOptions& options, int endpoints);
-// Replays a snapshot into a freshly reset world.
-void restore_world_state(World& w, const EngineSnapshot& snap);
 
-// Owns N worlds plus the single shared compiled image: one Rete network
-// (with its bytecode CodeStore) and one compiled-RHS vector, built once
-// however many worlds exist.
+// Owns N worlds plus the single shared compiled image (ProgramImage: one
+// Rete network with its bytecode CodeStore, one compiled-RHS vector),
+// built once however many worlds exist.
 class WorldPool {
  public:
   // `endpoints` is match_processes + 1 (workers + control): each world
@@ -108,26 +95,14 @@ class WorldPool {
   World& world(std::uint32_t w) { return *worlds_.at(w); }
   const World& world(std::uint32_t w) const { return *worlds_.at(w); }
 
-  const ops5::Program& program() const { return program_; }
-  const rete::Network& network() const { return *network_; }
-  const std::vector<CompiledRhs>& rhs() const { return rhs_; }
+  const ProgramImage& image() const { return image_; }
   int endpoints() const { return endpoints_; }
-
-  // Checkpoint surface (psme.checkpoint.v1 semantics, engine_base.hpp):
-  // snapshot at a quiescent point; reset poisons the arenas and rebuilds
-  // empty per-world state; restore replays a snapshot into a reset world.
-  EngineSnapshot snapshot_world(std::uint32_t w) const;
-  void reset_world(std::uint32_t w);
-  void restore_world(std::uint32_t w, const EngineSnapshot& snap);
 
   static std::uint64_t world_seed(std::uint64_t base, std::uint32_t id);
 
  private:
-  const ops5::Program& program_;
-  EngineOptions options_;
+  const ProgramImage image_;
   int endpoints_;
-  std::unique_ptr<rete::Network> network_;
-  std::vector<CompiledRhs> rhs_;
   std::vector<std::unique_ptr<World>> worlds_;
 };
 

@@ -1,6 +1,7 @@
 #include "world/world.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace psme::world {
 
@@ -15,29 +16,24 @@ std::uint64_t WorldPool::world_seed(std::uint64_t base, std::uint32_t id) {
 WorldPool::WorldPool(const ops5::Program& program,
                      const EngineOptions& options, std::uint32_t num_worlds,
                      int endpoints)
-    : program_(program),
-      options_(options),
-      endpoints_(endpoints),
-      network_(rete::build_network(program)) {
+    : image_(program), endpoints_(endpoints) {
   if (num_worlds == 0)
     throw std::invalid_argument("WorldPool: need at least one world");
   if (endpoints < 1)
     throw std::invalid_argument("WorldPool: need at least one endpoint");
-  rhs_.reserve(program.productions().size());
-  for (const auto& prod : program.productions())
-    rhs_.push_back(compile_rhs(program, prod));
   worlds_.reserve(num_worlds);
   for (std::uint32_t i = 0; i < num_worlds; ++i) {
     worlds_.push_back(std::make_unique<World>());
-    init_world(*worlds_.back(), i, program_, options_, endpoints_);
+    init_world(*worlds_.back(), i, program, options, endpoints_);
   }
 }
 
 void init_world(World& w, std::uint32_t id, const ops5::Program& program,
                 const EngineOptions& options, int endpoints) {
+  w.reset(program, options.max_cycles);
+  w.watch_prefix = "[w" + std::to_string(id) + "] ";
   w.id = id;
   w.seed = WorldPool::world_seed(options.seed, id);
-  w.wm = std::make_unique<WorkingMemory>(program);
   w.cs = std::make_unique<ConflictSet>(program);
   w.left_table =
       std::make_unique<match::HashTokenTable>(options.hash_buckets);
@@ -49,21 +45,6 @@ void init_world(World& w, std::uint32_t id, const ops5::Program& program,
   w.ctx.left_table = w.left_table.get();
   w.ctx.right_table = w.right_table.get();
   w.ctx.conflict_set = w.cs.get();
-  w.max_cycles = options.max_cycles;
-}
-
-EngineSnapshot snapshot_world_state(const World& w) {
-  EngineSnapshot snap;
-  snap.next_timetag = w.wm->last_timetag() + 1;
-  for (const Wme* wme : w.wm->snapshot())
-    snap.wmes.push_back({wme->timetag, wme->cls, wme->fields});
-  for (const Instantiation& inst : w.cs->snapshot())
-    if (inst.fired)
-      snap.fired.push_back({inst.prod_index, inst.tags_in_order()});
-  snap.trace = w.trace;
-  snap.cycles = w.stats.cycles;
-  snap.halted = w.halted;
-  return snap;
 }
 
 void reset_world_state(World& w, const ops5::Program& program,
@@ -71,44 +52,11 @@ void reset_world_state(World& w, const ops5::Program& program,
   // Poison before the new state exists: any pointer that survived the
   // reset now reads arena garbage, never a live token of the next epoch.
   for (match::BumpArena& a : w.arenas) a.reset(/*poison=*/true);
-  w.trace.clear();
-  w.stats = RunStats{};
-  w.halted = false;
-  w.last_reason = StopReason::EmptyConflictSet;
-  w.pending.clear();
-  w.restored_fired.clear();
   w.inline_queue.clear();
   w.emit_buf.clear();
   w.digests.clear();
   w.live = false;
   init_world(w, w.id, program, options, endpoints);
-}
-
-void restore_world_state(World& w, const EngineSnapshot& snap) {
-  if (w.wm->size() != 0 || !w.trace.empty() || w.stats.cycles != 0)
-    throw std::logic_error("restore_world: world is not fresh (reset first)");
-  for (const WmeSnapshot& ws : snap.wmes) {
-    const Wme* wme = w.wm->make_with_tag(ws.timetag, ws.cls, ws.fields);
-    w.pending.emplace_back(wme, +1);
-  }
-  w.wm->set_next_tag(snap.next_timetag);
-  w.restored_fired = snap.fired;
-  w.trace = snap.trace;
-  w.stats.cycles = snap.cycles;
-  w.stats.firings = snap.cycles;
-  w.halted = snap.halted;
-}
-
-EngineSnapshot WorldPool::snapshot_world(std::uint32_t wi) const {
-  return snapshot_world_state(world(wi));
-}
-
-void WorldPool::reset_world(std::uint32_t wi) {
-  reset_world_state(world(wi), program_, options_, endpoints_);
-}
-
-void WorldPool::restore_world(std::uint32_t wi, const EngineSnapshot& snap) {
-  restore_world_state(world(wi), snap);
 }
 
 }  // namespace psme::world

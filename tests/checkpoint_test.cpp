@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.hpp"
+#include "shard/shard_group.hpp"
 #include "workloads/workloads.hpp"
+#include "world/batch_engine.hpp"
 
 namespace psme {
 namespace {
@@ -126,6 +128,44 @@ TEST(Checkpoint, CrossModeRestore) {
   ckpt.restore(second.base());
   second.run();
   EXPECT_EQ(second.trace(), expected);
+}
+
+TEST(Checkpoint, RestoresAcrossBackends) {
+  // One Control writes and reads every backend's checkpoints, so a world's
+  // checkpoint must resume on a single engine and on a shard session.
+  const auto w = workloads::tourney(6, false);
+  const auto program = ops5::Program::from_source(w.source);
+  const auto expected = reference_trace(
+      program, w, config_for(ExecutionMode::Sequential), 40);
+  ASSERT_GT(expected.size(), 10u);
+
+  EngineOptions wopt;
+  wopt.worlds = 1;
+  wopt.max_cycles = 10;
+  world::BatchEngine batch(program, wopt);
+  for (const std::string& lit : w.initial_wmes) batch.make(0, lit);
+  batch.run_all();
+  ASSERT_EQ(batch.world(0).stats.cycles, 10u);
+  const serve::Checkpoint ckpt = serve::Checkpoint::deserialize(
+      serve::Checkpoint::capture(program, batch.snapshot_world(0))
+          .serialize());
+
+  EngineConfig seq = config_for(ExecutionMode::Sequential);
+  seq.options.max_cycles = 40;
+  Engine engine(program, seq);
+  ckpt.restore(engine.base());
+  engine.run();
+  EXPECT_EQ(engine.trace(), expected);
+
+  EngineOptions sopt;
+  sopt.max_cycles = 40;
+  shard::ShardGroupConfig cfg;
+  cfg.shards = 2;
+  shard::ShardGroup group(program, sopt, cfg);
+  ckpt.verify(program);
+  group.restore_session(0, ckpt.snapshot);
+  group.run_session(0);
+  EXPECT_EQ(group.trace(0), expected);
 }
 
 TEST(Checkpoint, RefusesForeignProgram) {

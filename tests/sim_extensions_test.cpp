@@ -5,8 +5,10 @@
 #include <sstream>
 
 #include "engine/sequential_engine.hpp"
+#include "shard/shard_group.hpp"
 #include "sim/sim_engine.hpp"
 #include "workloads/workloads.hpp"
+#include "world/batch_engine.hpp"
 
 namespace psme::sim {
 namespace {
@@ -126,6 +128,46 @@ TEST(Watch, SimEngineAlsoTraces) {
   eng.make("(a ^x 7)");
   eng.run();
   EXPECT_EQ(out.str(), "1. consume 1\n");
+}
+
+TEST(Watch, WorldAndShardSessionsPrintWmChanges) {
+  // Every backend prints the same watch-level-2 lines as the sequential
+  // engine, each prefixed with its world or shard session.
+  auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(p bump (a ^x 0) --> (modify 1 ^x 1))
+)");
+  const std::string lines[] = {"1. bump 1\n", "<=WM: 1: (a ^x 0)\n",
+                               "=>WM: 2: (a ^x 1)\n"};
+  EngineOptions opt;
+  opt.watch = 2;
+
+  std::ostringstream seq_out;
+  opt.out = &seq_out;
+  SequentialEngine eng(program, opt);
+  eng.make("(a ^x 0)");
+  eng.run();
+  EXPECT_EQ(seq_out.str(), lines[0] + lines[1] + lines[2]);
+
+  std::ostringstream world_out;
+  opt.out = &world_out;
+  opt.worlds = 1;
+  world::BatchEngine batch(program, opt);
+  batch.make(0, "(a ^x 0)");
+  batch.run_all();
+  EXPECT_EQ(world_out.str(),
+            "[w0] " + lines[0] + "[w0] " + lines[1] + "[w0] " + lines[2]);
+
+  std::ostringstream shard_out;
+  opt.out = &shard_out;
+  opt.worlds = 0;
+  shard::ShardGroupConfig cfg;
+  cfg.shards = 2;
+  shard::ShardGroup group(program, opt, cfg);
+  group.make(0, "(a ^x 0)");
+  group.run_all();
+  EXPECT_EQ(shard_out.str(),
+            "[s0] " + lines[0] + "[s0] " + lines[1] + "[s0] " + lines[2]);
 }
 
 }  // namespace

@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     // runs to its own stop. One compiled image serves them all.
     psme::EngineOptions wopt = config.options;
     wopt.worlds = worlds;
-    wopt.watch = 0;  // per-world watch output would interleave confusingly
+    if (worlds > 1) wopt.watch = 0;  // per-world lines would interleave
     psme::world::BatchEngine batch(program, wopt);
     auto load_world = [&](std::uint32_t w) {
       for (const std::string& lit : workload_wmes) batch.make(w, lit);
