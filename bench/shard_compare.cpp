@@ -80,7 +80,7 @@ Row run_group(const ops5::Program& program, const workloads::Workload& wl,
   Row row;
   row.sessions = sessions;
   for (std::uint32_t s = 0; s < sessions; ++s)
-    row.cycles += group.result(s).stats.cycles;
+    row.cycles += group.control(s).result().stats.cycles;
   row.stats = group.group_stats();
   row.tasks = row.stats.tasks;
   row.virt_seconds = cfg.cost.to_seconds(row.stats.makespan_vtime);

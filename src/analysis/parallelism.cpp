@@ -64,9 +64,7 @@ class ProfilingEngine : public EngineBase {
       switch (cur.task.kind) {
         case match::TaskKind::Root:
           match::process_root(ctx_, world_, network(), cur.task, emit, &ac);
-          cost += ac.vm_used ? cost_.root_cost_vm(ac.vm_loads, ac.vm_tests,
-                                                  ac.vm_branches, emit.size())
-                             : cost_.root_cost(ac.alpha_tests, emit.size());
+          cost += cost_.root_charge(ac, emit.size());
           break;
         case match::TaskKind::Terminal:
           match::process_terminal(ctx_, world_, cur.task, &ac);
@@ -77,14 +75,8 @@ class ProfilingEngine : public EngineBase {
           const match::MemUpdate up =
               match::process_join_update(ctx_, world_, cur.task, &ac);
           match::process_join_probe(ctx_, world_, cur.task, up, emit, &ac);
-          cost += cost_.join_update_cost(ac.same_examined, cur.task.sign,
-                                         ac.key_slots);
-          cost += ac.vm_used
-                      ? cost_.join_probe_cost_vm(ac.opp_examined, ac.vm_loads,
-                                                 ac.vm_tests, ac.vm_branches,
-                                                 ac.emissions, ac.emitted_wmes)
-                      : cost_.join_probe_cost(ac.opp_examined, ac.emissions,
-                                              ac.emitted_wmes);
+          cost += cost_.join_update_charge(ac, cur.task.sign) +
+                  cost_.join_probe_charge(ac);
           break;
         }
       }

@@ -125,4 +125,37 @@ struct Control {
   std::vector<FiringRecord> restored_fired;
 };
 
+// A backend of session slots, each one Control: the one interface
+// serve::Session runs on. An owned Engine is one slot, a
+// world::BatchEngine has a slot per world and a shard::ShardGroup one per
+// session. Slots are independent: calls for different slots may run
+// concurrently where the backend says so.
+class SessionBackend {
+ public:
+  SessionBackend() = default;
+  SessionBackend(const SessionBackend&) = delete;
+  SessionBackend& operator=(const SessionBackend&) = delete;
+  virtual ~SessionBackend() = default;
+
+  // Throws invalid_argument unless `slot` can run on its own.
+  virtual void check_slot(std::uint32_t /*slot*/) const {}
+  virtual const Wme* make(std::uint32_t slot, std::string_view wme_literal) = 0;
+  virtual const Wme* make(
+      std::uint32_t slot, SymbolId cls,
+      const std::vector<std::pair<SymbolId, Value>>& fields) = 0;
+  virtual void remove(std::uint32_t slot, TimeTag tag) = 0;
+  // The slot's WM, trace and stats; read between runs.
+  virtual const Control& control(std::uint32_t slot) const = 0;
+  virtual void set_max_cycles(std::uint32_t slot, std::uint64_t n) = 0;
+  // Runs the slot to halt, an empty conflict set or its cycle cap.
+  virtual RunResult run_session(std::uint32_t slot) = 0;
+  // Checkpoint capture at a quiescent point.
+  virtual EngineSnapshot snapshot_session(std::uint32_t slot) = 0;
+  // Empties the slot, as if newly built.
+  virtual void reset_session(std::uint32_t slot) = 0;
+  // Replays `snap` into an empty slot (Control::restore).
+  virtual void restore_session(std::uint32_t slot,
+                               const EngineSnapshot& snap) = 0;
+};
+
 }  // namespace psme

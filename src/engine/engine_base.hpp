@@ -60,6 +60,7 @@ class EngineBase {
     options_.max_cycles = ctl_.max_cycles = n;
   }
 
+  const Control& control() const { return ctl_; }
   const ops5::Program& program() const { return image_.program; }
   const rete::Network& network() const { return *image_.network; }
   const WorkingMemory& wm() const { return *ctl_.wm; }

@@ -37,14 +37,7 @@ void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {
 void SequentialEngine::drain() {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  while (!queue_.empty()) {
-    const match::Task task = queue_.front();
-    queue_.pop_front();
-    emit_buf_.clear();
-    match::process_task(ctx_, world_, network(), task, emit_buf_);
-    for (const match::Task& t : emit_buf_) queue_.push_back(t);
-    ctl_.stats.match.tasks_executed += 1;
-  }
+  match::drain_fifo(ctx_, world_, network(), queue_, emit_buf_);
   ctl_.stats.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }

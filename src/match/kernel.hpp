@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -191,6 +192,22 @@ inline void process_task(MatchContext& ctx, WorldContext& world,
     case TaskKind::JoinLeft:
     case TaskKind::JoinRight: process_join(ctx, world, task, out, cost); break;
     case TaskKind::Terminal: process_terminal(ctx, world, task, cost); break;
+  }
+}
+
+// Runs `queue` to fixpoint on the calling thread, FIFO: each task's
+// emissions join the tail. The inline match phase of the sequential engine
+// and of an inline world; `emit` is scratch.
+inline void drain_fifo(MatchContext& ctx, WorldContext& world,
+                       const rete::Network& net, std::deque<Task>& queue,
+                       std::vector<Task>& emit) {
+  while (!queue.empty()) {
+    const Task task = queue.front();
+    queue.pop_front();
+    emit.clear();
+    process_task(ctx, world, net, task, emit);
+    for (const Task& t : emit) queue.push_back(t);
+    ctx.stats->tasks_executed += 1;
   }
 }
 

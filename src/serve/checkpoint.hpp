@@ -56,7 +56,8 @@ struct Checkpoint {
   // program; throws CheckpointError on fingerprint mismatch.
   void restore(EngineBase& engine) const;
   // Fingerprint check alone, for callers that restore into a world slot
-  // (reset_world + restore_world) instead of an EngineBase.
+  // (SessionBackend::reset_session + restore_session) instead of an
+  // EngineBase.
   void verify(const ops5::Program& program) const;
 
   obs::Json to_json() const;

@@ -2,19 +2,18 @@
 
 #include <algorithm>
 
-#include "shard/shard_group.hpp"
+#include "world/batch_engine.hpp"
 
 namespace psme::serve {
 
 namespace {
 
-// Admission control shared by every open_* path. Call with mu_ held.
-void admit(std::size_t live, std::size_t adding, std::size_t cap) {
-  if (cap != 0 && live + adding > cap)
-    throw std::runtime_error("admission: session capacity " +
-                             std::to_string(cap) + " reached (live=" +
-                             std::to_string(live) + ", requested=" +
-                             std::to_string(adding) + ")");
+// One session per slot of `backend`, slots [0, n).
+void add_slots(std::vector<std::unique_ptr<Session>>& out,
+               const ops5::Program& program, SessionBackend* backend,
+               std::uint32_t n) {
+  for (std::uint32_t slot = 0; slot < n; ++slot)
+    out.push_back(std::make_unique<Session>(program, backend, slot));
 }
 
 }  // namespace
@@ -38,17 +37,36 @@ double Server::now_us() const {
       .count();
 }
 
+std::vector<SessionId> Server::add_sessions(
+    std::vector<std::unique_ptr<Session>> sessions,
+    std::vector<std::unique_ptr<SessionBackend>> backends) {
+  std::vector<SessionId> ids;
+  ids.reserve(sessions.size());
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::size_t cap = config_.max_sessions;
+  if (cap != 0 && sessions_.size() + sessions.size() > cap)
+    throw std::runtime_error("admission: session capacity " +
+                             std::to_string(cap) + " reached (live=" +
+                             std::to_string(sessions_.size()) +
+                             ", requested=" + std::to_string(sessions.size()) +
+                             ")");
+  for (auto& backend : backends) backends_.push_back(std::move(backend));
+  for (auto& session : sessions) {
+    auto entry = std::make_shared<Entry>();
+    entry->session = std::move(session);
+    ids.push_back(next_id_);
+    sessions_.emplace(next_id_++, std::move(entry));
+  }
+  return ids;
+}
+
 SessionId Server::open_session(const ops5::Program& program,
                                EngineConfig config) {
   // Engine construction (Rete compilation) happens on the caller's thread,
-  // outside the server lock.
-  auto entry = std::make_shared<Entry>();
-  entry->session = std::make_unique<Session>(program, config);
-  std::lock_guard<std::mutex> lk(mu_);
-  admit(sessions_.size(), 1, config_.max_sessions);
-  const SessionId id = next_id_++;
-  sessions_.emplace(id, std::move(entry));
-  return id;
+  // outside the server lock; so does every open_*'s.
+  std::vector<std::unique_ptr<Session>> sessions;
+  sessions.push_back(std::make_unique<Session>(program, config));
+  return add_sessions(std::move(sessions), {}).front();
 }
 
 std::vector<SessionId> Server::open_batch_sessions(const ops5::Program& program,
@@ -57,35 +75,12 @@ std::vector<SessionId> Server::open_batch_sessions(const ops5::Program& program,
   if (count == 0)
     throw std::invalid_argument("open_batch_sessions: count must be >= 1");
   config.options.worlds = count;
-  // Compile once, outside the server lock, like open_session.
-  auto batch = std::make_unique<world::BatchEngine>(program, config.options);
-  std::vector<std::shared_ptr<Entry>> entries;
-  entries.reserve(count);
-  for (std::uint32_t w = 0; w < count; ++w) {
-    auto entry = std::make_shared<Entry>();
-    entry->session = std::make_unique<Session>(program, batch.get(), w);
-    entries.push_back(std::move(entry));
-  }
-  std::vector<SessionId> ids;
-  ids.reserve(count);
-  std::lock_guard<std::mutex> lk(mu_);
-  admit(sessions_.size(), count, config_.max_sessions);
-  batches_.push_back(std::move(batch));
-  for (auto& entry : entries) {
-    const SessionId id = next_id_++;
-    sessions_.emplace(id, std::move(entry));
-    ids.push_back(id);
-  }
-  return ids;
-}
-
-std::vector<SessionId> Server::open_shard_sessions(
-    const ops5::Program& program, EngineConfig config, std::uint32_t count,
-    std::uint16_t shards, shard::TransportKind transport,
-    std::uint16_t lanes) {
-  const shard::ShardGroupConfig defaults;
-  return open_shard_sessions(program, config, count, shards, transport, lanes,
-                             defaults.keyless, defaults.overlap);
+  std::vector<std::unique_ptr<SessionBackend>> backends;
+  backends.push_back(
+      std::make_unique<world::BatchEngine>(program, config.options));
+  std::vector<std::unique_ptr<Session>> sessions;
+  add_slots(sessions, program, backends.back().get(), count);
+  return add_sessions(std::move(sessions), std::move(backends));
 }
 
 std::vector<SessionId> Server::open_shard_sessions(
@@ -98,40 +93,23 @@ std::vector<SessionId> Server::open_shard_sessions(
     throw std::invalid_argument(
         "open_shard_sessions: lanes must be in [1, count]");
   // Contiguous blocks: lane l serves sessions [l*per, ...), the last lane
-  // takes the remainder. Compile + fork outside the server lock; the
-  // SocketTransport forks in the ShardGroup constructor.
+  // takes the remainder. The SocketTransport forks in the ShardGroup
+  // constructor.
   const std::uint32_t per = (count + lanes - 1) / lanes;
-  std::vector<std::unique_ptr<shard::ShardGroup>> groups;
-  std::vector<std::shared_ptr<Entry>> entries;
-  entries.reserve(count);
+  std::vector<std::unique_ptr<SessionBackend>> backends;
+  std::vector<std::unique_ptr<Session>> sessions;
   for (std::uint32_t begin = 0; begin < count; begin += per) {
-    const std::uint32_t n = std::min(per, count - begin);
     shard::ShardGroupConfig scfg;
     scfg.shards = shards;
-    scfg.sessions = n;
+    scfg.sessions = std::min(per, count - begin);
     scfg.transport = transport;
     scfg.keyless = keyless;
     scfg.overlap = overlap;
-    auto group = std::make_unique<shard::ShardGroup>(program, config.options,
-                                                     scfg);
-    for (std::uint32_t slot = 0; slot < n; ++slot) {
-      auto entry = std::make_shared<Entry>();
-      entry->session = std::make_unique<Session>(program, group.get(), slot);
-      entries.push_back(std::move(entry));
-    }
-    groups.push_back(std::move(group));
+    backends.push_back(
+        std::make_unique<shard::ShardGroup>(program, config.options, scfg));
+    add_slots(sessions, program, backends.back().get(), scfg.sessions);
   }
-  std::vector<SessionId> ids;
-  ids.reserve(count);
-  std::lock_guard<std::mutex> lk(mu_);
-  admit(sessions_.size(), count, config_.max_sessions);
-  for (auto& group : groups) shard_groups_.push_back(std::move(group));
-  for (auto& entry : entries) {
-    const SessionId id = next_id_++;
-    sessions_.emplace(id, std::move(entry));
-    ids.push_back(id);
-  }
-  return ids;
+  return add_sessions(std::move(sessions), std::move(backends));
 }
 
 bool Server::close_session(SessionId id) {

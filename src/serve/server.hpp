@@ -31,11 +31,7 @@
 #include <unordered_map>
 
 #include "serve/session.hpp"
-
-namespace psme::shard {
-enum class TransportKind : std::uint8_t;  // shard/transport.hpp
-enum class KeylessPolicy : std::uint8_t;  // shard/partition.hpp
-}
+#include "shard/shard_group.hpp"
 
 namespace psme::serve {
 
@@ -79,28 +75,19 @@ class Server {
   // contiguous blocks). One ShardGroup serializes its sessions' requests
   // on its own coordinator mutex, so lanes — not shards — are the
   // front-tier parallelism knob; shards partition the match WITHIN a
-  // lane. `checkpoint`/`restore` on these sessions is the drain /
-  // migration path: the psme.checkpoint.v1 document restores into any
-  // topology. The groups live until drain().
-  std::vector<SessionId> open_shard_sessions(const ops5::Program& program,
-                                             EngineConfig config,
-                                             std::uint32_t count,
-                                             std::uint16_t shards,
-                                             shard::TransportKind transport,
-                                             std::uint16_t lanes = 1);
-  // Full form: also picks the keyless-join policy and whether priced
-  // exchanges overlap (shard/partition.hpp, shard/shard_group.hpp). The
-  // short form above delegates with the ShardGroupConfig defaults
-  // (replicate + overlap); pass KeylessPolicy::Owner / overlap=false to
-  // reproduce the strictly-synchronous single-owner behavior.
-  std::vector<SessionId> open_shard_sessions(const ops5::Program& program,
-                                             EngineConfig config,
-                                             std::uint32_t count,
-                                             std::uint16_t shards,
-                                             shard::TransportKind transport,
-                                             std::uint16_t lanes,
-                                             shard::KeylessPolicy keyless,
-                                             bool overlap);
+  // lane. `keyless` and `overlap` pick the keyless-join policy and whether
+  // priced exchanges overlap (shard/partition.hpp, shard/shard_group.hpp);
+  // they default to ShardGroupConfig's (replicate + overlap), and
+  // KeylessPolicy::Owner / overlap=false reproduce the strictly-synchronous
+  // single-owner behavior. `checkpoint`/`restore` on these sessions is the
+  // drain / migration path: the psme.checkpoint.v1 document restores into
+  // any topology. The groups live until drain().
+  std::vector<SessionId> open_shard_sessions(
+      const ops5::Program& program, EngineConfig config, std::uint32_t count,
+      std::uint16_t shards, shard::TransportKind transport,
+      std::uint16_t lanes = 1,
+      shard::KeylessPolicy keyless = shard::ShardGroupConfig{}.keyless,
+      bool overlap = shard::ShardGroupConfig{}.overlap);
   bool close_session(SessionId id);  // queued requests answer `err`
   std::size_t session_count() const;
 
@@ -141,6 +128,12 @@ class Server {
     std::mutex busy;  // held while executing; close_session waits on it
   };
 
+  // The one registration path of every open_*: admission control, then
+  // `backends` (shared by some of `sessions`) join backends_ and each
+  // session gets the next id.
+  std::vector<SessionId> add_sessions(
+      std::vector<std::unique_ptr<Session>> sessions,
+      std::vector<std::unique_ptr<SessionBackend>> backends);
   void worker_main();
 
   ServerConfig config_;
@@ -148,11 +141,10 @@ class Server {
   mutable std::mutex mu_;  // guards sessions_, ready_, inboxes, stats_, flags
   std::condition_variable work_cv_;   // workers: ready_ non-empty or stopping
   std::condition_variable drain_cv_;  // drain(): nothing queued and idle
-  // Shared engines behind batch/shard sessions. Declared before
+  // Shared backends behind batch/shard sessions. Declared before
   // sessions_ so they are destroyed after every Session that points into
   // them.
-  std::vector<std::unique_ptr<world::BatchEngine>> batches_;
-  std::vector<std::unique_ptr<shard::ShardGroup>> shard_groups_;
+  std::vector<std::unique_ptr<SessionBackend>> backends_;
   std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions_;
   std::deque<std::shared_ptr<Entry>> ready_;  // sessions with queued work
   std::vector<std::thread> workers_;

@@ -8,7 +8,6 @@
 #include "ops5/parser.hpp"
 #include "rr/session_rr.hpp"
 #include "serve/checkpoint.hpp"
-#include "shard/shard_group.hpp"
 
 namespace psme::serve {
 
@@ -47,74 +46,64 @@ const char* reason_name(StopReason r) {
 Response ok(std::string text) { return {true, std::move(text)}; }
 Response err(std::string text) { return {false, std::move(text)}; }
 
+// Engine-per-session backend: one slot, an owned Engine of any execution
+// mode. Reset builds a fresh Engine of the same mode.
+class EngineSlot final : public SessionBackend {
+ public:
+  EngineSlot(const ops5::Program& program, EngineConfig config)
+      : program_(program), config_(config) {
+    reset_session(0);
+  }
+  const Engine& engine() const { return *engine_; }
+
+  const Wme* make(std::uint32_t, std::string_view wme_literal) override {
+    return engine_->make(wme_literal);
+  }
+  const Wme* make(
+      std::uint32_t, SymbolId cls,
+      const std::vector<std::pair<SymbolId, Value>>& fields) override {
+    return engine_->make(cls, fields);
+  }
+  void remove(std::uint32_t, TimeTag tag) override { engine_->remove(tag); }
+  const Control& control(std::uint32_t) const override {
+    return engine_->base().control();
+  }
+  void set_max_cycles(std::uint32_t, std::uint64_t n) override {
+    engine_->base().set_max_cycles(n);
+  }
+  RunResult run_session(std::uint32_t) override { return engine_->run(); }
+  EngineSnapshot snapshot_session(std::uint32_t) override {
+    return engine_->base().snapshot_state();
+  }
+  void reset_session(std::uint32_t) override {
+    engine_ = std::make_unique<Engine>(program_, config_);
+  }
+  void restore_session(std::uint32_t, const EngineSnapshot& snap) override {
+    engine_->base().restore_state(snap);
+  }
+
+ private:
+  const ops5::Program& program_;
+  EngineConfig config_;
+  std::unique_ptr<Engine> engine_;
+};
+
 }  // namespace
 
 Session::Session(const ops5::Program& program, EngineConfig config)
     : program_(program),
-      config_(config),
-      engine_(std::make_unique<psme::Engine>(program, config)) {}
+      backend_(std::make_shared<EngineSlot>(program, config)) {}
 
-Session::Session(const ops5::Program& program, world::BatchEngine* batch,
+Session::Session(const ops5::Program& program, SessionBackend* backend,
                  std::uint32_t slot)
-    : program_(program), batch_(batch), slot_(slot) {
-  if (batch_->options().match_processes != 0)
-    throw std::invalid_argument(
-        "world-backed sessions need an inline BatchEngine "
-        "(match_processes == 0): run_world slices execute on the "
-        "request thread");
+    : program_(program), backend_(backend, [](SessionBackend*) {}),
+      slot_(slot) {
+  backend->check_slot(slot);
 }
 
-Session::Session(const ops5::Program& program, shard::ShardGroup* group,
-                 std::uint32_t slot)
-    : program_(program), group_(group), slot_(slot) {}
-
-const std::vector<FiringRecord>& Session::trace() const {
-  if (group_) return group_->trace(slot_);
-  return batch_ ? batch_->world(slot_).trace : engine_->trace();
-}
-
-const Wme* Session::do_make(const std::string& literal) {
-  if (group_) return group_->make(slot_, literal);
-  return batch_ ? batch_->make(slot_, literal) : engine_->make(literal);
-}
-
-const Wme* Session::do_make(
-    SymbolId cls, const std::vector<std::pair<SymbolId, Value>>& fields) {
-  if (group_) return group_->make(slot_, cls, fields);
-  return batch_ ? batch_->make(slot_, cls, fields)
-                : engine_->make(cls, fields);
-}
-
-void Session::do_remove(TimeTag tag) {
-  if (group_)
-    group_->remove(slot_, tag);
-  else if (batch_)
-    batch_->remove(slot_, tag);
-  else
-    engine_->remove(tag);
-}
-
-const WorkingMemory& Session::do_wm() const {
-  if (group_) return group_->wm(slot_);
-  return batch_ ? *batch_->world(slot_).wm : engine_->wm();
-}
-
-const RunStats& Session::do_stats() const {
-  if (group_) return group_->run_stats(slot_);
-  return batch_ ? batch_->world(slot_).stats : engine_->stats();
-}
-
-StopReason Session::run_slice(std::uint64_t cycle_cap) {
-  if (group_) {
-    group_->set_max_cycles(slot_, cycle_cap);
-    return group_->run_session(slot_).reason;
-  }
-  if (batch_) {
-    batch_->set_max_cycles(slot_, cycle_cap);
-    return batch_->run_world(slot_).reason;
-  }
-  engine_->base().set_max_cycles(cycle_cap);
-  return engine_->run().reason;
+const psme::Engine* Session::engine() const {
+  const auto* owned = dynamic_cast<const EngineSlot*>(backend_.get());
+  return owned ? &owned->engine() : nullptr;
 }
 
 Response Session::execute(const std::string& line, Deadline deadline) {
@@ -147,7 +136,7 @@ Response Session::dispatch(const std::string& line, Deadline deadline) {
 }
 
 Response Session::cmd_make(const std::string& args) {
-  const Wme* wme = do_make(args);
+  const Wme* wme = backend_->make(slot_, args);
   return ok(std::to_string(wme->timetag));
 }
 
@@ -155,7 +144,7 @@ Response Session::cmd_modify(const std::string& args) {
   const auto [tag_str, updates] = split_verb(args);
   std::uint64_t tag = 0;
   if (!parse_u64(tag_str, &tag)) return err("modify: bad timetag");
-  const Wme* old = do_wm().find(tag);
+  const Wme* old = control().wm->find(tag);
   if (!old) return err("modify: no live wme " + tag_str);
   if (updates.empty()) return err("modify: no field updates");
 
@@ -177,16 +166,17 @@ Response Session::cmd_modify(const std::string& args) {
     if (!fields[slot].is_nil())
       pairs.emplace_back(info.slot_attrs[slot], fields[slot]);
 
-  do_remove(tag);  // OPS5 modify is remove + make (fresh timetag)
-  const Wme* wme = do_make(old->cls, pairs);
+  // OPS5 modify is remove + make (fresh timetag).
+  backend_->remove(slot_, tag);
+  const Wme* wme = backend_->make(slot_, old->cls, pairs);
   return ok(std::to_string(wme->timetag));
 }
 
 Response Session::cmd_remove(const std::string& args) {
   std::uint64_t tag = 0;
   if (!parse_u64(args, &tag)) return err("remove: bad timetag");
-  if (!do_wm().find(tag)) return err("remove: no live wme " + args);
-  do_remove(tag);
+  if (!control().wm->find(tag)) return err("remove: no live wme " + args);
+  backend_->remove(slot_, tag);
   return ok(args);
 }
 
@@ -195,30 +185,31 @@ Response Session::cmd_run(const std::string& args, Deadline deadline) {
   const bool bounded = !args.empty();
   if (bounded && !parse_u64(args, &budget)) return err("run: bad cycle count");
 
-  const std::uint64_t start = do_stats().cycles;
+  const std::uint64_t start = control().stats.cycles;
   const std::uint64_t target =
       bounded ? start + budget : std::numeric_limits<std::uint64_t>::max();
   StopReason reason = StopReason::MaxCycles;
   for (;;) {
-    const std::uint64_t cur = do_stats().cycles;
+    const std::uint64_t cur = control().stats.cycles;
     if (cur >= target) break;
-    reason = run_slice(std::min(target, cur + kRunSlice));
+    backend_->set_max_cycles(slot_, std::min(target, cur + kRunSlice));
+    reason = backend_->run_session(slot_).reason;
     if (reason != StopReason::MaxCycles) break;  // halt / empty conflict set
-    if (do_stats().cycles >= target) break;
+    if (control().stats.cycles >= target) break;
     if (std::chrono::steady_clock::now() > deadline) {
-      const std::uint64_t done = do_stats().cycles;
+      const std::uint64_t done = control().stats.cycles;
       return err("deadline cycles=" + std::to_string(done - start) +
                  " total=" + std::to_string(done));
     }
   }
-  const std::uint64_t total = do_stats().cycles;
+  const std::uint64_t total = control().stats.cycles;
   return ok("cycles=" + std::to_string(total - start) +
             " total=" + std::to_string(total) +
             " reason=" + reason_name(reason));
 }
 
 Response Session::cmd_dump() const {
-  const auto wmes = do_wm().snapshot();
+  const auto wmes = control().wm->snapshot();
   std::ostringstream out;
   out << wmes.size();
   for (const Wme* w : wmes)
@@ -238,42 +229,25 @@ Response Session::cmd_trace() const {
 }
 
 Response Session::cmd_stats() const {
-  const RunStats& s = do_stats();
+  const RunStats& s = control().stats;
   return ok("cycles=" + std::to_string(s.cycles) +
             " firings=" + std::to_string(s.firings) +
-            " wm=" + std::to_string(do_wm().size()));
+            " wm=" + std::to_string(control().wm->size()));
 }
 
 Response Session::cmd_checkpoint() const {
-  if (group_)
-    return ok(Checkpoint::capture(program_, group_->snapshot_session(slot_))
-                  .serialize());
-  if (batch_)
-    return ok(Checkpoint::capture(program_, batch_->snapshot_world(slot_))
-                  .serialize());
-  return ok(Checkpoint::capture(engine_->base()).serialize());
+  return ok(Checkpoint::capture(program_, backend_->snapshot_session(slot_))
+                .serialize());
 }
 
 Response Session::cmd_restore(const std::string& args) {
   if (args.empty()) return err("restore: missing checkpoint JSON");
+  // The checkpoint may come from any engine mode, world or shard topology;
+  // verify its fingerprint before emptying the slot.
   const Checkpoint ckpt = Checkpoint::deserialize(args);
-  if (group_) {
-    // Migration landing point: the checkpoint may come from any engine
-    // mode or any other shard topology.
-    ckpt.verify(program_);
-    group_->reset_session(slot_);
-    group_->restore_session(slot_, ckpt.snapshot);
-  } else if (batch_) {
-    // A world slot is reusable state, not a disposable engine: verify the
-    // fingerprint first, then rebuild the slot in place.
-    ckpt.verify(program_);
-    batch_->reset_world(slot_);
-    batch_->restore_world(slot_, ckpt.snapshot);
-  } else {
-    auto fresh = std::make_unique<psme::Engine>(program_, config_);
-    ckpt.restore(fresh->base());
-    engine_ = std::move(fresh);
-  }
+  ckpt.verify(program_);
+  backend_->reset_session(slot_);
+  backend_->restore_session(slot_, ckpt.snapshot);
   return ok(std::to_string(ckpt.snapshot.cycles));
 }
 

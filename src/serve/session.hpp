@@ -1,7 +1,7 @@
-// Session: one client's engine instance behind a text command protocol.
+// Session: one client's engine state behind a text command protocol.
 //
-// A session owns an Engine (any execution mode) and executes one command
-// per request, with an optional per-request deadline:
+// A session executes one command per request, with an optional
+// per-request deadline:
 //
 //   make (class ^attr value ...)      -> ok <timetag>
 //   modify <timetag> ^attr value ...  -> ok <new-timetag>   (remove + make)
@@ -19,22 +19,21 @@
 // deadline by more than one slice; a deadline miss answers
 // `err deadline ...` with the state advanced by the cycles already run
 // (working memory stays consistent — slicing stops only at quiescent
-// points). `restore` replaces the engine with a fresh instance of the same
-// mode restored from the checkpoint.
+// points).
 //
 // Sessions are not internally synchronized: the Server serializes the
 // requests of one session and runs different sessions in parallel.
 //
-// Three backends: a session owns an Engine (engine-per-session, any
-// execution mode), is bound to one world slot of a shared
-// world::BatchEngine (Server::open_batch_sessions), or is bound to one
-// session slot of a shard::ShardGroup (Server::open_shard_sessions) —
-// same protocol, same responses, N sessions over one compiled Rete
-// network. World- and shard-backed `restore` reset the slot and replay
-// the checkpoint into it instead of replacing an engine; for a
-// shard-backed session that is the drain/migration path — the same
-// psme.checkpoint.v1 document restores into a group with a different
-// shard count or transport.
+// A session runs on one backend interface, SessionBackend
+// (engine/control.hpp): a slot whose state is one Control. The slot is an
+// owned Engine (engine-per-session, any execution mode), one world of a
+// shared world::BatchEngine (Server::open_batch_sessions) or one session
+// of a shared shard::ShardGroup (Server::open_shard_sessions) — same
+// protocol, same responses, and N sessions over one compiled Rete network
+// for the shared ones. `restore` resets the slot and replays the
+// checkpoint into it: for an owned Engine that is a fresh Engine, for a
+// shard session the drain/migration path — the same psme.checkpoint.v1
+// document restores into any engine mode, world or shard topology.
 #pragma once
 
 #include <chrono>
@@ -42,13 +41,9 @@
 #include <string>
 
 #include "engine/engine.hpp"
-#include "world/batch_engine.hpp"
 
 namespace psme::rr {
 struct SessionTranscript;  // rr/session_rr.hpp
-}
-namespace psme::shard {
-class ShardGroup;  // shard/shard_group.hpp
 }
 
 namespace psme::serve {
@@ -73,15 +68,13 @@ class Session {
   // `program` must outlive the session. The engine is constructed
   // immediately (Rete compilation happens here, not per request).
   Session(const ops5::Program& program, EngineConfig config);
-  // World-backed session: slot `slot` of `batch` (not owned; must outlive
-  // the session). The BatchEngine must run inline match (its run_world is
-  // what `run` slices call, concurrently across sessions).
-  Session(const ops5::Program& program, world::BatchEngine* batch,
-          std::uint32_t slot);
-  // Shard-backed session: session slot `slot` of `group` (not owned;
-  // must outlive the session). Requests serialize on the group's own
-  // mutex, so the Server's front tier opens one ShardGroup per lane.
-  Session(const ops5::Program& program, shard::ShardGroup* group,
+  // Slot `slot` of a shared backend (not owned; must outlive the session):
+  // a world of a world::BatchEngine, which must run inline match (`run`
+  // slices execute on the request thread, concurrently across sessions),
+  // or a session of a shard::ShardGroup, whose requests serialize on the
+  // group's own mutex (so the Server's front tier opens one ShardGroup per
+  // lane). Throws invalid_argument if the slot cannot run on its own.
+  Session(const ops5::Program& program, SessionBackend* backend,
           std::uint32_t slot);
 
   // Executes one protocol command. Never throws: protocol and engine
@@ -89,8 +82,8 @@ class Session {
   Response execute(const std::string& line, Deadline deadline = kNoDeadline);
 
   // Engine-backed sessions only (null for world-/shard-backed ones).
-  const psme::Engine* engine() const { return engine_.get(); }
-  const std::vector<FiringRecord>& trace() const;
+  const psme::Engine* engine() const;
+  const std::vector<FiringRecord>& trace() const { return control().trace; }
   std::uint64_t requests() const { return requests_; }
 
   // Record every (command, response) pair into `t` (not owned; must
@@ -113,21 +106,12 @@ class Session {
   Response cmd_checkpoint() const;
   Response cmd_restore(const std::string& args);
 
-  // Backend seam: every protocol command goes through these, so the
-  // command implementations are single-sourced across both backends.
-  const Wme* do_make(const std::string& literal);
-  const Wme* do_make(SymbolId cls,
-                     const std::vector<std::pair<SymbolId, Value>>& fields);
-  void do_remove(TimeTag tag);
-  const WorkingMemory& do_wm() const;
-  const RunStats& do_stats() const;
-  StopReason run_slice(std::uint64_t cycle_cap);
+  const Control& control() const { return backend_->control(slot_); }
 
   const ops5::Program& program_;
-  EngineConfig config_;
-  std::unique_ptr<psme::Engine> engine_;   // engine-per-session backend
-  world::BatchEngine* batch_ = nullptr;    // world-slot backend (not owned)
-  shard::ShardGroup* group_ = nullptr;     // shard-slot backend (not owned)
+  // Owned only for engine-per-session sessions; a shared backend's owner
+  // (the Server) outlives its sessions, so those get a no-op deleter.
+  std::shared_ptr<SessionBackend> backend_;
   std::uint32_t slot_ = 0;
   std::uint64_t requests_ = 0;
   rr::SessionTranscript* transcript_ = nullptr;

@@ -74,24 +74,17 @@ void ShardState::apply_forward(const TaskFwdFrame& f) {
   touched_.push_back(&s);
 }
 
-void ShardState::price(const match::Task& t, const match::ActivationCost& c) {
+void ShardState::price(const match::Task& t, const match::ActivationCost& c,
+                       std::size_t emitted) {
   const sim::CostModel& m = cfg_.cost;
   sim::VTime vt = m.task_dispatch;
   switch (t.kind) {
     case match::TaskKind::Root:
-      vt += c.vm_used ? m.root_cost_vm(c.vm_loads, c.vm_tests, c.vm_branches,
-                                       c.emissions)
-                      : m.root_cost(c.alpha_tests, c.emissions);
+      vt += m.root_charge(c, emitted);
       break;
     case match::TaskKind::JoinLeft:
     case match::TaskKind::JoinRight:
-      vt += m.join_update_cost(c.same_examined, t.sign, c.key_slots);
-      vt += c.vm_used
-                ? m.join_probe_cost_vm(c.opp_examined, c.vm_loads, c.vm_tests,
-                                       c.vm_branches, c.emissions,
-                                       c.emitted_wmes)
-                : m.join_probe_cost(c.opp_examined, c.emissions,
-                                    c.emitted_wmes);
+      vt += m.join_update_charge(c, t.sign) + m.join_probe_charge(c);
       break;
     case match::TaskKind::Terminal:
       vt += m.terminal_update;
@@ -174,7 +167,7 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
     s.w.emit_buf.clear();
     match::ActivationCost c;
     match::process_task(ctx, s.w.ctx, net_, task, s.w.emit_buf, &c);
-    price(task, c);
+    price(task, c, s.w.emit_buf.size());
     route(s, task, s.w.emit_buf, reply);
     s.w.stats.match.tasks_executed += 1;
     ++tasks_;

@@ -82,7 +82,9 @@ class ShardState {
   void drain(Slice& s, BatchWriter& reply);
   void route(Slice& s, const match::Task& src, std::vector<match::Task>& out,
              BatchWriter& reply);
-  void price(const match::Task& t, const match::ActivationCost& c);
+  // `emitted`: the tasks `t` emitted (a root's are priced per emission).
+  void price(const match::Task& t, const match::ActivationCost& c,
+             std::size_t emitted);
 
   const ops5::Program& program_;
   const rete::Network& net_;

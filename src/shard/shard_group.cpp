@@ -506,24 +506,9 @@ void ShardGroup::run_session_locked(std::uint32_t si) {
   }
 }
 
-RunResult ShardGroup::result(std::uint32_t si) const {
+const Control& ShardGroup::control(std::uint32_t si) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return session(si).result();
-}
-
-const RunStats& ShardGroup::run_stats(std::uint32_t si) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return session(si).stats;
-}
-
-const std::vector<FiringRecord>& ShardGroup::trace(std::uint32_t si) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return session(si).trace;
-}
-
-const WorkingMemory& ShardGroup::wm(std::uint32_t si) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return *session(si).wm;
+  return session(si);
 }
 
 const std::vector<world::World::DigestRow>& ShardGroup::digests(

@@ -107,7 +107,7 @@ struct GroupStats {
   std::uint64_t replicated_keeps = 0;  // tasks kept local by replication
 };
 
-class ShardGroup {
+class ShardGroup final : public SessionBackend {
  public:
   // Builds the compiled image once, then cfg.shards ShardStates over it
   // and the chosen transport (SocketTransport forks HERE — construct the
@@ -115,7 +115,7 @@ class ShardGroup {
   // fingerprint/topology handshake with every shard.
   ShardGroup(const ops5::Program& program, EngineOptions options,
              ShardGroupConfig cfg);
-  ~ShardGroup();
+  ~ShardGroup() override;
 
   std::uint16_t num_shards() const { return cfg_.shards; }
   std::uint32_t num_sessions() const { return cfg_.sessions; }
@@ -124,32 +124,33 @@ class ShardGroup {
   const rete::Network& network() const { return *image_.network; }
   const EngineOptions& options() const { return options_; }
 
-  // Working-memory edits between runs, addressed by session.
-  const Wme* make(std::uint32_t session, std::string_view wme_literal);
-  const Wme* make(std::uint32_t session, SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields);
-  void remove(std::uint32_t session, TimeTag tag);
-  void set_max_cycles(std::uint32_t session, std::uint64_t n);
+  // Session slots (engine/control.hpp): working-memory edits and
+  // checkpoints between runs, addressed by session. Each call takes the
+  // group's mutex.
+  const Wme* make(std::uint32_t session, std::string_view wme_literal) override;
+  const Wme* make(
+      std::uint32_t session, SymbolId cls,
+      const std::vector<std::pair<SymbolId, Value>>& fields) override;
+  void remove(std::uint32_t session, TimeTag tag) override;
+  // Live reference (serve's stats/run commands poll it between slices).
+  const Control& control(std::uint32_t session) const override;
+  void set_max_cycles(std::uint32_t session, std::uint64_t n) override;
+  // Runs one session to its stop.
+  RunResult run_session(std::uint32_t session) override;
+  // The fired list is gathered from the owning shards (FiredQuery);
+  // restore replays wmes through the coordinator WM and re-applies
+  // refraction on the shards at the next run's first quiescence.
+  EngineSnapshot snapshot_session(std::uint32_t session) override;
+  void reset_session(std::uint32_t session) override;
+  void restore_session(std::uint32_t session,
+                       const EngineSnapshot& snap) override;
+  const std::vector<FiringRecord>& trace(std::uint32_t session) const {
+    return control(session).trace;
+  }
 
   // Runs every session to halt / empty conflict set / its cycle cap, one
   // batched select+fire round across all live sessions per cycle.
   void run_all();
-  // Runs one session to its stop.
-  RunResult run_session(std::uint32_t session);
-  RunResult result(std::uint32_t session) const;
-  // Live reference (serve's stats/run commands poll it between slices).
-  const RunStats& run_stats(std::uint32_t session) const;
-
-  const std::vector<FiringRecord>& trace(std::uint32_t session) const;
-  const WorkingMemory& wm(std::uint32_t session) const;
-
-  // Checkpoints (psme.checkpoint.v1 payload, engine/control.hpp). The fired
-  // list is gathered from the owning shards (FiredQuery); restore
-  // replays wmes through the coordinator WM and re-applies refraction on
-  // the shards at the next run's first quiescence.
-  EngineSnapshot snapshot_session(std::uint32_t session);
-  void reset_session(std::uint32_t session);
-  void restore_session(std::uint32_t session, const EngineSnapshot& snap);
 
   // Per-cycle digest capture (world::World::DigestRow, same semantics as
   // BatchEngine::set_digest_capture). With `per_shard_detail`, also keeps

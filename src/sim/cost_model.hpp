@@ -8,7 +8,10 @@
 // task at VAX/NS32032 speeds, Section 4.1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#include "match/kernel.hpp"
 
 namespace psme::sim {
 
@@ -121,45 +124,33 @@ struct CostModel {
     return static_cast<double>(t) / (mips * 1e6);
   }
 
-  // --- per-activation charges (shared by SimEngine and the parallelism
-  // profiler so both price a task identically) ---------------------------
-  VTime root_cost(std::uint32_t alpha_tests, std::size_t emitted) const {
-    return root_base + alpha_test * alpha_tests +
+  // --- per-activation charges, shared by SimEngine, the parallelism
+  // profiler and the shard tier so all three price a task identically.
+  // Each reads the activation's ActivationCost and charges per bytecode
+  // op when it ran compiled programs (vm_used), per interpreted test
+  // otherwise. ----------------------------------------------------------
+  VTime vm_cost(const match::ActivationCost& ac) const {
+    return vm_load * ac.vm_loads + vm_test * ac.vm_tests +
+           vm_branch * ac.vm_branches;
+  }
+  // `emitted` is the number of tasks the root task emitted.
+  VTime root_charge(const match::ActivationCost& ac,
+                    std::size_t emitted) const {
+    return root_base +
+           (ac.vm_used ? vm_cost(ac) : alpha_test * ac.alpha_tests) +
            alpha_emit * static_cast<VTime>(emitted);
   }
-  VTime join_update_cost(std::uint32_t same_examined, int sign,
-                         std::uint32_t key_slots) const {
-    VTime t = hash_base + hash_per_slot * key_slots;
-    if (sign > 0) {
-      t += mem_insert;
-    } else {
-      t += mem_delete_base + mem_delete_per_examined * same_examined;
-    }
-    return t;
+  VTime join_update_charge(const match::ActivationCost& ac, int sign) const {
+    return hash_base + hash_per_slot * ac.key_slots +
+           (sign > 0 ? mem_insert
+                     : mem_delete_base +
+                           mem_delete_per_examined * ac.same_examined);
   }
-  VTime join_probe_cost(std::uint32_t opp_examined, std::uint32_t emissions,
-                        std::uint32_t emitted_wmes) const {
-    return join_probe_base + join_per_examined * opp_examined +
-           join_per_emission * emissions + emit_per_wme * emitted_wmes;
-  }
-
-  // --- bytecode-VM variants, used when ActivationCost::vm_used is set ----
-  VTime vm_cost(std::uint32_t loads, std::uint32_t tests,
-                std::uint32_t branches) const {
-    return vm_load * loads + vm_test * tests + vm_branch * branches;
-  }
-  VTime root_cost_vm(std::uint32_t loads, std::uint32_t tests,
-                     std::uint32_t branches, std::size_t emitted) const {
-    return root_base + vm_cost(loads, tests, branches) +
-           alpha_emit * static_cast<VTime>(emitted);
-  }
-  VTime join_probe_cost_vm(std::uint32_t opp_examined, std::uint32_t loads,
-                           std::uint32_t tests, std::uint32_t branches,
-                           std::uint32_t emissions,
-                           std::uint32_t emitted_wmes) const {
-    return join_probe_base + join_per_examined_vm * opp_examined +
-           vm_cost(loads, tests, branches) + join_per_emission * emissions +
-           emit_per_wme * emitted_wmes;
+  VTime join_probe_charge(const match::ActivationCost& ac) const {
+    return join_probe_base +
+           (ac.vm_used ? join_per_examined_vm * ac.opp_examined + vm_cost(ac)
+                       : join_per_examined * ac.opp_examined) +
+           join_per_emission * ac.emissions + emit_per_wme * ac.emitted_wmes;
   }
 };
 

@@ -44,22 +44,6 @@ void SimEngine::submit_change(const Wme* wme, std::int8_t sign) {
   ctl_.pending.emplace_back(wme, sign);
 }
 
-VTime SimEngine::update_cost(const match::MemUpdate& up,
-                             const match::ActivationCost& ac,
-                             std::int8_t sign) const {
-  (void)up;
-  return config_.cost.join_update_cost(ac.same_examined, sign, ac.key_slots);
-}
-
-VTime SimEngine::probe_cost(const match::ActivationCost& ac) const {
-  if (ac.vm_used)
-    return config_.cost.join_probe_cost_vm(ac.opp_examined, ac.vm_loads,
-                                           ac.vm_tests, ac.vm_branches,
-                                           ac.emissions, ac.emitted_wmes);
-  return config_.cost.join_probe_cost(ac.opp_examined, ac.emissions,
-                                      ac.emitted_wmes);
-}
-
 SubTask<bool> SimEngine::push_task(SimCpu& cpu, match::Task task,
                                    unsigned hint, MatchStats& stats,
                                    bool is_requeue) {
@@ -407,10 +391,10 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
                              st.line_probe_hist[si]);
     match::ActivationCost ac;
     const match::MemUpdate up = match::process_join_update(w.ctx, world_, task, &ac, &hash);
-    co_await sched_->spend(cpu, update_cost(up, ac, task.sign));
+    co_await sched_->spend(cpu, cm.join_update_charge(ac, task.sign));
     match::ActivationCost ap;
     match::process_join_probe(w.ctx, world_, task, up, emit, &ap);
-    co_await sched_->spend(cpu, probe_cost(ap));
+    co_await sched_->spend(cpu, cm.join_probe_charge(ap));
     rr_commit();
     if (options_.rr_faults)
       if (const std::uint32_t mag = options_.rr_faults->lock_delay(w.id))
@@ -439,7 +423,8 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
     match::ActivationCost ac;
     const match::MemUpdate up =
         match::process_join_update(w.ctx, world_, task, &ac, &hash);
-    co_await sched_->spend(cpu, cm.seq_write + update_cost(up, ac, task.sign));
+    co_await sched_->spend(cpu,
+                           cm.seq_write + cm.join_update_charge(ac, task.sign));
     match::ActivationCost ap;
     match::process_join_probe(w.ctx, world_, task, up, emit, &ap);
     std::uint64_t retries = 0;
@@ -456,7 +441,7 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
       st.seq_retries += retries;
       if (st.seq_retry_hist) st.seq_retry_hist->record(retries);
     }
-    if (probe_inside) co_await sched_->spend(cpu, probe_cost(ap));
+    if (probe_inside) co_await sched_->spend(cpu, cm.join_probe_charge(ap));
     rr_commit();
     if (options_.rr_faults)
       if (const std::uint32_t mag = options_.rr_faults->lock_delay(w.id))
@@ -469,7 +454,7 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
       const std::uint64_t attempts = retries + (probe_inside ? 0 : 1);
       if (attempts > 0)
         co_await sched_->spend(
-            cpu, attempts * (2 * cm.seq_read + probe_cost(ap)));
+            cpu, attempts * (2 * cm.seq_read + cm.join_probe_charge(ap)));
     }
     co_return true;
   }
@@ -503,10 +488,10 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
   if (exclusive) {
     match::ActivationCost ac;
     const match::MemUpdate up = match::process_join_update(w.ctx, world_, task, &ac, &hash);
-    co_await sched_->spend(cpu, update_cost(up, ac, task.sign));
+    co_await sched_->spend(cpu, cm.join_update_charge(ac, task.sign));
     match::ActivationCost ap;
     match::process_join_probe(w.ctx, world_, task, up, emit, &ap);
-    co_await sched_->spend(cpu, probe_cost(ap));
+    co_await sched_->spend(cpu, cm.join_probe_charge(ap));
     rr_commit();
     if (options_.rr_faults)
       if (const std::uint32_t mag = options_.rr_faults->lock_delay(w.id))
@@ -517,8 +502,8 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
                              st.line_probe_hist[si]);
     match::ActivationCost ac;
     const match::MemUpdate up = match::process_join_update(w.ctx, world_, task, &ac, &hash);
-    co_await sched_->spend(cpu,
-                           cm.mrsw_modification + update_cost(up, ac, task.sign));
+    co_await sched_->spend(
+        cpu, cm.mrsw_modification + cm.join_update_charge(ac, task.sign));
     // The update is what conflicting opposite-side tasks observe; the
     // probe after release only reads the already-frozen opposite side.
     rr_commit();
@@ -528,7 +513,7 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
     sched_->release(L.modification, cpu.now);
     match::ActivationCost ap;
     match::process_join_probe(w.ctx, world_, task, up, emit, &ap);
-    co_await sched_->spend(cpu, probe_cost(ap));
+    co_await sched_->spend(cpu, cm.join_probe_charge(ap));
   }
 
   // Leave the line (uncounted guard handshake, as in the threaded engine).
@@ -624,10 +609,7 @@ Proc SimEngine::worker_main(WorkerState& w) {
       case match::TaskKind::Root: {
         match::ActivationCost ac;
         match::process_root(w.ctx, world_, network(), task, emit, &ac);
-        co_await sched_->spend(
-            cpu, ac.vm_used ? cm.root_cost_vm(ac.vm_loads, ac.vm_tests,
-                                              ac.vm_branches, emit.size())
-                            : cm.root_cost(ac.alpha_tests, emit.size()));
+        co_await sched_->spend(cpu, cm.root_charge(ac, emit.size()));
         break;
       }
       case match::TaskKind::Terminal: {

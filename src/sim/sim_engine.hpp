@@ -142,9 +142,6 @@ class SimEngine : public EngineBase {
   SubTask<bool> join_task(SimCpu& cpu, WorkerState& w, match::Task task,
                           std::vector<match::Task>& emit);
 
-  VTime update_cost(const match::MemUpdate& up,
-                    const match::ActivationCost& ac, std::int8_t sign) const;
-  VTime probe_cost(const match::ActivationCost& ac) const;
 
   SimConfig config_;
   std::unique_ptr<match::HashTokenTable> left_table_;

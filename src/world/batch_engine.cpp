@@ -54,34 +54,31 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
 
 BatchEngine::~BatchEngine() = default;
 
+void BatchEngine::check_slot(std::uint32_t) const {
+  if (workers_)
+    throw std::invalid_argument(
+        "world-backed sessions need an inline BatchEngine "
+        "(match_processes == 0): run_session slices execute on the "
+        "request thread");
+}
+
 void BatchEngine::submit_change(World& w, const Wme* wme, std::int8_t sign) {
   match::Task root;
   root.kind = match::TaskKind::Root;
   root.sign = sign;
   root.world = w.id;
   root.wme = wme;
-  if (!workers_) {
-    w.inline_queue.push_back(root);
-    drain_world_queue(w);
+  if (workers_) {
+    workers_->scheduler().push(root, workers_->control_ep(), w.stats.match);
     return;
   }
-  workers_->scheduler().push(root, workers_->control_ep(), w.stats.match);
-}
-
-void BatchEngine::drain_world_queue(World& w) {
   match::MatchContext ctx;
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &w.arenas[0];
   ctx.stats = &w.stats.match;
   ctx.code = code_;
-  while (!w.inline_queue.empty()) {
-    const match::Task task = w.inline_queue.front();
-    w.inline_queue.pop_front();
-    w.emit_buf.clear();
-    match::process_task(ctx, w.ctx, network(), task, w.emit_buf);
-    for (const match::Task& t : w.emit_buf) w.inline_queue.push_back(t);
-    w.stats.match.tasks_executed += 1;
-  }
+  w.inline_queue.push_back(root);
+  match::drain_fifo(ctx, w.ctx, network(), w.inline_queue, w.emit_buf);
 }
 
 void BatchEngine::quiescent(World& w) {
@@ -139,10 +136,10 @@ void BatchEngine::run_all() {
   if (workers_) workers_->end_run(batch_match_stats_);
 }
 
-RunResult BatchEngine::run_world(std::uint32_t wi) {
+RunResult BatchEngine::run_session(std::uint32_t wi) {
   if (workers_)
     throw std::logic_error(
-        "run_world: single-world runs need inline match "
+        "run_session: single-world runs need inline match "
         "(match_processes == 0); use run_all for the threaded pool");
   World& w = pool_.world(wi);
   w.submit_pending(submit_to(w));

@@ -10,7 +10,7 @@
 // Execution modes (EngineOptions::match_processes):
 //  - 0 (inline): match drains on the calling thread, per world. Different
 //    worlds touch disjoint state, so the serve layer may run
-//    run_world(a) and run_world(b) concurrently from different threads
+//    run_session(a) and run_session(b) concurrently from different threads
 //    (a != b). This is the serving configuration.
 //  - k > 0 (threaded): the threaded executor ParallelEngine also runs
 //    (match::WorkerPool) executes the combined task stream of all worlds;
@@ -38,12 +38,12 @@
 
 namespace psme::world {
 
-class BatchEngine {
+class BatchEngine final : public SessionBackend {
  public:
   // Builds options.worlds worlds (must be >= 1). Throws invalid_argument
   // on nonsensical combinations (non-hash memories, rr record/replay).
   BatchEngine(const ops5::Program& program, EngineOptions options);
-  ~BatchEngine();
+  ~BatchEngine() override;
 
   std::uint32_t num_worlds() const { return pool_.size(); }
   World& world(std::uint32_t w) { return pool_.world(w); }
@@ -52,40 +52,47 @@ class BatchEngine {
   const rete::Network& network() const { return *pool_.image().network; }
   const EngineOptions& options() const { return options_; }
 
-  // Working-memory edits between runs, addressed by world.
-  const Wme* make(std::uint32_t w, std::string_view wme_literal) {
+  // Session slots (engine/control.hpp), one per world. Working-memory
+  // edits and checkpoints go between runs; serving a world on its own
+  // needs inline match (run_session).
+  void check_slot(std::uint32_t w) const override;
+  const Wme* make(std::uint32_t w, std::string_view wme_literal) override {
     return pool_.world(w).make(wme_literal);
   }
-  const Wme* make(std::uint32_t w, SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields) {
+  const Wme* make(
+      std::uint32_t w, SymbolId cls,
+      const std::vector<std::pair<SymbolId, Value>>& fields) override {
     return pool_.world(w).make(cls, fields);
   }
-  void remove(std::uint32_t w, TimeTag tag) { pool_.world(w).remove(tag); }
-  void set_max_cycles(std::uint32_t w, std::uint64_t n) {
+  void remove(std::uint32_t w, TimeTag tag) override {
+    pool_.world(w).remove(tag);
+  }
+  const Control& control(std::uint32_t w) const override {
+    return pool_.world(w);
+  }
+  void set_max_cycles(std::uint32_t w, std::uint64_t n) override {
     pool_.world(w).max_cycles = n;
+  }
+  // Runs one world to its stop; inline mode only (the threaded pool
+  // executes all worlds' tasks and cannot quiesce a single world). Safe
+  // to call concurrently for DIFFERENT worlds.
+  RunResult run_session(std::uint32_t w) override;
+  EngineSnapshot snapshot_session(std::uint32_t w) override {
+    return snapshot_world(w);
+  }
+  EngineSnapshot snapshot_world(std::uint32_t w) const {
+    return pool_.world(w).snapshot(*pool_.world(w).cs);
+  }
+  void reset_session(std::uint32_t w) override {
+    reset_world_state(pool_.world(w), program(), options_, pool_.endpoints());
+  }
+  void restore_session(std::uint32_t w, const EngineSnapshot& snap) override {
+    pool_.world(w).restore(snap);
   }
 
   // Runs every world to halt / empty conflict set / its cycle cap, with
   // one global quiescence barrier per batch round. Works in both modes.
   void run_all();
-  // Runs one world to its stop; inline mode only (the threaded pool
-  // executes all worlds' tasks and cannot quiesce a single world). Safe
-  // to call concurrently for DIFFERENT worlds.
-  RunResult run_world(std::uint32_t w);
-  // Stop reason + stats of the world's last run.
-  RunResult result(std::uint32_t w) const { return pool_.world(w).result(); }
-
-  // Checkpoints (psme.checkpoint.v1 payload; serve/checkpoint.hpp wraps
-  // this with the program fingerprint).
-  EngineSnapshot snapshot_world(std::uint32_t w) const {
-    return pool_.world(w).snapshot(*pool_.world(w).cs);
-  }
-  void reset_world(std::uint32_t w) {
-    reset_world_state(pool_.world(w), program(), options_, pool_.endpoints());
-  }
-  void restore_world(std::uint32_t w, const EngineSnapshot& snap) {
-    pool_.world(w).restore(snap);
-  }
 
   // Per-cycle digest capture (rr::wm_digest / rr::cs_digest at every
   // quiescent point, per world). Enable before running.
@@ -97,7 +104,6 @@ class BatchEngine {
 
  private:
   void submit_change(World& w, const Wme* wme, std::int8_t sign);
-  void drain_world_queue(World& w);  // inline mode
   // Routes a world's WM changes into the batch as (world, root-task) pairs.
   Control::Submit submit_to(World& w);
   // A world's quiescent point: Control::quiesced, then its digest row.

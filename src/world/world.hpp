@@ -15,10 +15,10 @@
 // exactly one world (BumpArena::owns backs the isolation tests).
 //
 // Lifecycle: construct → load wmes → run (batched or solo) → snapshot /
-// reset / restore. reset_world() is madrona's WorldReset: the arenas are
-// poisoned (stale cross-world pointers read 0x5a garbage, not plausible
-// tokens) and the WM/conflict set/tables are rebuilt empty; restore_world()
-// then replays an EngineSnapshot into the fresh world.
+// reset / restore. BatchEngine::reset_session() is madrona's WorldReset:
+// the arenas are poisoned (stale cross-world pointers read 0x5a garbage,
+// not plausible tokens) and the WM/conflict set/tables are rebuilt empty;
+// restore_session() then replays an EngineSnapshot into the fresh world.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,7 @@ struct World : Control {
   match::WorldContext ctx;               // views over the tables + cs
 
   // Inline-mode match queue (match_processes == 0): per-world so
-  // concurrent run_world() calls on different worlds never share state.
+  // concurrent run_session() calls on different worlds never share state.
   std::deque<match::Task> inline_queue;
   std::vector<match::Task> emit_buf;
 

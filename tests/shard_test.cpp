@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "analysis/parallelism.hpp"
 #include "common/symbol_table.hpp"
 #include "engine/sequential_engine.hpp"
 #include "serve/checkpoint.hpp"
@@ -68,7 +69,7 @@ TEST(ShardGroup, MatchesSequentialOnBothTransports) {
         EXPECT_EQ(group.trace(s), ref)
             << "shards=" << shards << " session=" << s << " transport="
             << (t == TransportKind::Socket ? "socket" : "inproc");
-        EXPECT_EQ(group.result(s).reason, StopReason::Halt);
+        EXPECT_EQ(group.control(s).result().reason, StopReason::Halt);
       }
     }
   }
@@ -89,7 +90,7 @@ TEST(ShardGroup, KeylessAndNegatedJoinsStaySingleOwner) {
   for (const std::string& w : wmes) group.make(0, w);
   group.run_all();
   EXPECT_EQ(group.trace(0), ref);
-  EXPECT_EQ(group.result(0).reason, StopReason::Halt);
+  EXPECT_EQ(group.control(0).result().reason, StopReason::Halt);
   const GroupStats gs = group.group_stats();
   EXPECT_EQ(gs.replicated_nodes, 0u);
   EXPECT_EQ(gs.replicated_keeps, 0u);
@@ -112,7 +113,7 @@ TEST(ShardGroup, KeylessReplicationMatchesSequentialAndKeepsLocal) {
     for (const std::string& w : wmes) group.make(0, w);
     group.run_all();
     EXPECT_EQ(group.trace(0), ref) << "overlap=" << overlap;
-    EXPECT_EQ(group.result(0).reason, StopReason::Halt);
+    EXPECT_EQ(group.control(0).result().reason, StopReason::Halt);
     const GroupStats gs = group.group_stats();
     EXPECT_GT(gs.replicated_nodes, 0u);
     EXPECT_GT(gs.replicated_keeps, 0u);
@@ -179,6 +180,25 @@ TEST(ShardGroup, InterconnectAccountingIsPopulated) {
   EXPECT_LE(gs.makespan_vtime, gs.compute_vtime + gs.comm_vtime);
 }
 
+TEST(ShardGroup, OneShardPricesLikeTheProfiler) {
+  // One shard does all the match work, so its modeled compute is the
+  // profiler's total work under the same cost model. The two root tasks
+  // emit four tasks between them, each charged alpha_emit.
+  const auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(literalize b x)
+(p one (a ^x 1) --> (halt))
+(p two (a ^x 1) (b ^x <v>) --> (remove 2))
+)");
+  const std::vector<std::string> wmes = {"(a ^x 1)", "(b ^x 3)"};
+  ShardGroup group(program, EngineOptions{},
+                   cfg_of(1, 1, TransportKind::InProc));
+  for (const std::string& w : wmes) group.make(0, w);
+  group.run_all();
+  EXPECT_EQ(group.group_stats().compute_vtime,
+            analysis::profile_parallelism(program, wmes).total_work);
+}
+
 TEST(ShardGroup, CheckpointMigratesAcrossShardCountAndTransport) {
   const auto wl = workloads::rubik(5);
   const auto program = ops5::Program::from_source(wl.source);
@@ -204,7 +224,7 @@ TEST(ShardGroup, CheckpointMigratesAcrossShardCountAndTransport) {
   dest.restore_session(0, snap);
   dest.run_session(0);
   EXPECT_EQ(dest.trace(0), ref);
-  EXPECT_EQ(dest.result(0).reason, StopReason::Halt);
+  EXPECT_EQ(dest.control(0).result().reason, StopReason::Halt);
 }
 
 TEST(ShardGroup, ResetRebuildsACleanSession) {
@@ -221,7 +241,7 @@ TEST(ShardGroup, ResetRebuildsACleanSession) {
 
   group.reset_session(0);
   EXPECT_TRUE(group.trace(0).empty());
-  EXPECT_EQ(group.wm(0).size(), 0u);
+  EXPECT_EQ(group.control(0).wm->size(), 0u);
   for (const std::string& w : wl.initial_wmes) group.make(0, w);
   group.run_session(0);
   EXPECT_EQ(group.trace(0), first);

@@ -156,7 +156,7 @@ TEST(WorldEquivalence, RunWorldConcurrencyIsSafePerSlot) {
   load_batch(batch, wl);
   std::vector<std::thread> drivers;
   for (std::uint32_t w = 0; w < 8; ++w)
-    drivers.emplace_back([&batch, w] { batch.run_world(w); });
+    drivers.emplace_back([&batch, w] { batch.run_session(w); });
   for (std::thread& t : drivers) t.join();
   const std::vector<WorldRef> refs = all_refs(program, wl, batch);
   for (std::uint32_t w = 0; w < 8; ++w)
@@ -267,8 +267,8 @@ TEST(WorldEquivalence, RestoreRewindsOnlyTheRestoredWorlds) {
 
   // Rewind worlds 2 and 5 to cycle 6; everyone else stays at 12.
   for (const std::uint32_t w : {2u, 5u}) {
-    batch.reset_world(w);
-    batch.restore_world(w, at6[w]);
+    batch.reset_session(w);
+    batch.restore_session(w, at6[w]);
   }
   for (const std::uint32_t w : {2u, 5u}) {
     EXPECT_EQ(batch.world(w).stats.cycles, at6[w].cycles);

@@ -79,7 +79,7 @@ TEST(BatchEngine, RejectsNonsenseOptions) {
     EngineOptions opt = inline_opts(2);
     opt.match_processes = 2;  // threaded pool cannot quiesce one world
     BatchEngine batch(program, opt);
-    EXPECT_THROW(batch.run_world(0), std::logic_error);
+    EXPECT_THROW(batch.run_session(0), std::logic_error);
   }
 }
 
@@ -107,7 +107,7 @@ TEST(BatchEngine, WorldsRunIsolatedWithTheirOwnCaps) {
   }
   batch.run_all();
   for (std::uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(batch.result(w).reason, StopReason::MaxCycles);
+    EXPECT_EQ(batch.control(w).result().reason, StopReason::MaxCycles);
     EXPECT_EQ(batch.world(w).stats.cycles, 5 + w);
     // The counter ticked exactly `cycles` times from its own start value.
     const auto wmes = batch.world(w).wm->snapshot();
@@ -123,9 +123,9 @@ TEST(BatchEngine, HaltStopsOnlyTheHaltingWorld) {
   batch.make(0, "(a ^x 1)");  // fires p1 -> halt
   batch.make(1, "(a ^x 2)");  // never matches
   batch.run_all();
-  EXPECT_EQ(batch.result(0).reason, StopReason::Halt);
+  EXPECT_EQ(batch.control(0).result().reason, StopReason::Halt);
   EXPECT_EQ(batch.world(0).stats.cycles, 1u);
-  EXPECT_EQ(batch.result(1).reason, StopReason::EmptyConflictSet);
+  EXPECT_EQ(batch.control(1).result().reason, StopReason::EmptyConflictSet);
   EXPECT_EQ(batch.world(1).stats.cycles, 0u);
 }
 
@@ -144,7 +144,7 @@ TEST(BatchEngine, RunWorldSlicesMatchOneSequentialRun) {
   // Drive world 1 in uneven slices, like the serve layer's cmd_run.
   for (const std::uint64_t cap : {3u, 4u, 11u, 20u}) {
     batch.set_max_cycles(1, cap);
-    batch.run_world(1);
+    batch.run_session(1);
   }
   EXPECT_EQ(batch.world(1).trace, ref.trace());
   EXPECT_EQ(batch.world(0).stats.cycles, 0u);  // untouched neighbor
@@ -157,24 +157,24 @@ TEST(BatchEngine, CheckpointRestoreIntoAnotherSlotResumesIdentically) {
   BatchEngine batch(program, inline_opts(3));
   for (const std::string& w : wl.initial_wmes) batch.make(0, w);
   batch.set_max_cycles(0, 4);
-  batch.run_world(0);
+  batch.run_session(0);
   const EngineSnapshot snap = batch.snapshot_world(0);
 
   // The uninterrupted continuation is the reference.
   batch.set_max_cycles(0, 20);
-  batch.run_world(0);
+  batch.run_session(0);
 
   // Restore the cycle-4 state into a DIFFERENT slot and continue there.
-  batch.reset_world(2);
-  batch.restore_world(2, snap);
+  batch.reset_session(2);
+  batch.restore_session(2, snap);
   batch.set_max_cycles(2, 20);
-  batch.run_world(2);
+  batch.run_session(2);
   EXPECT_EQ(batch.world(2).trace, batch.world(0).trace);
   EXPECT_EQ(batch.world(2).stats.cycles, batch.world(0).stats.cycles);
   EXPECT_GT(batch.world(2).stats.cycles, 4u);  // it did advance past cycle 4
 
   // A non-fresh slot refuses a restore.
-  EXPECT_THROW(batch.restore_world(0, snap), std::logic_error);
+  EXPECT_THROW(batch.restore_session(0, snap), std::logic_error);
 }
 
 // Walks both hash tables of a world and checks every resident entry and
@@ -225,7 +225,7 @@ TEST(BatchEngine, ArenaOwnershipProvesWorldIsolation) {
 
   // Reset poisons world 1's arenas; worlds 0 and 2 must be untouched.
   const std::uint64_t before0 = batch.world(0).stats.cycles;
-  batch.reset_world(1);
+  batch.reset_session(1);
   EXPECT_EQ(batch.world(1).wm->size(), 0u);
   EXPECT_EQ(batch.world(0).stats.cycles, before0);
   expect_arena_isolation(batch);

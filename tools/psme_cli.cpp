@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
               << keyless << ", overlap " << overlap << "), " << sessions
               << " session(s), one compiled network\n";
     for (std::uint32_t s = 0; s < sessions; ++s) {
-      const psme::RunResult r = group.result(s);
+      const psme::RunResult r = group.control(s).result();
       const char* why =
           r.reason == psme::StopReason::Halt ? "halt"
           : r.reason == psme::StopReason::EmptyConflictSet
@@ -312,7 +312,7 @@ int main(int argc, char** argv) {
               : "cycle limit";
       std::cout << "; session " << s << " stopped (" << why << ") after "
                 << r.stats.cycles << " cycles, wm size "
-                << group.wm(s).size() << "\n";
+                << group.control(s).wm->size() << "\n";
     }
     const psme::shard::GroupStats gs = group.group_stats();
     std::cout << "; interconnect: " << gs.batches << " batches, "
