@@ -12,11 +12,18 @@
 // host a pure spinner can burn its whole quantum while the lock holder is
 // descheduled, so after `kYieldThreshold` probes we yield the processor.
 // Probe counts are unaffected by the yields.
+//
+// Under a match::Machine (the Multimax simulator) a contended lock() parks
+// the virtual CPU in Machine::spin_wait and unlock() hands the lock to the
+// parked spinner whose next probe would come first, so probe counts follow
+// the same test-and-test-and-set cadence in virtual time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
+
+#include "match/machine.hpp"
 
 namespace psme {
 
@@ -28,13 +35,10 @@ class SpinLock {
 
   // Acquire; returns probe count (>= 1).
   std::uint64_t lock() {
-    std::uint64_t probes = 0;
+    if (try_lock()) return 1;
+    if (match::Machine* m = match::machine()) return m->spin_wait(word_);
+    std::uint64_t probes = 1;
     for (;;) {
-      ++probes;
-      if (!word_.load(std::memory_order_relaxed) &&
-          !word_.exchange(1, std::memory_order_acquire)) {
-        return probes;
-      }
       // Spin out of cache until the word looks free.
       std::uint64_t spins = 0;
       while (word_.load(std::memory_order_relaxed)) {
@@ -45,6 +49,8 @@ class SpinLock {
           spins = 0;
         }
       }
+      ++probes;
+      if (try_lock()) return probes;
     }
   }
 
@@ -53,7 +59,11 @@ class SpinLock {
            !word_.exchange(1, std::memory_order_acquire);
   }
 
-  void unlock() { word_.store(0, std::memory_order_release); }
+  void unlock() {
+    if (match::Machine* m = match::machine())
+      if (m->hand_off(word_)) return;
+    word_.store(0, std::memory_order_release);
+  }
 
   static void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -154,6 +154,7 @@ void process_root(MatchContext& ctx, WorldContext& world,
   const auto* alphas = net.alphas_for_class(wme->cls);
   if (!alphas) return;
   const Token* unit_token = nullptr;  // lazily built length-1 token
+  const std::size_t out0 = out.size();
   VmCounts vc;  // accumulated across the class's alpha programs
   bool any_vm = false;
   for (const rete::AlphaProgram* prog : *alphas) {
@@ -199,6 +200,7 @@ void process_root(MatchContext& ctx, WorldContext& world,
     }
   }
   if (any_vm) count_vm_ops(ctx, vc, cost);
+  if (cost) cost->emissions += static_cast<std::uint32_t>(out.size() - out0);
 }
 
 MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
@@ -449,15 +451,17 @@ void speculate_join_probe(MatchContext& ctx, WorldContext& world,
   // discards. The null checks can only fire on a tear (published entries
   // always carry their side's payload) — cheap insurance, never semantics.
   Entry* e = seq_load(opp.fast.live) ? &opp.fast : seq_load(opp.head);
+  ActivationCost& cost = spec.cost;
   while (e) {
-    ++spec.examined;
+    ++cost.opp_examined;
     if (seq_load(e->node_id) == j->id && seq_load(e->hash) == hash) {
       const Token* left = side == Side::Left ? task.token : seq_load(e->token);
       const Wme* right = side == Side::Left ? seq_load(e->wme) : task.wme;
       if (left && right && join_tests_pass(ctx, j, left, right, vcp)) {
         const Token* extended = ctx.arena->make_token(left, right);
         emit_to_successors(ctx, task, j, extended, task.sign, out);
-        ++spec.pairs;
+        ++cost.emissions;
+        cost.emitted_wmes += extended->len;
       }
     } else {
       ++spec.collisions;
@@ -465,25 +469,23 @@ void speculate_join_probe(MatchContext& ctx, WorldContext& world,
     e = e == &opp.fast ? seq_load(opp.head) : seq_load(e->next);
   }
   if (vcp) {
-    spec.vm_used = true;
-    spec.vm_loads = vc.loads;
-    spec.vm_tests = vc.tests;
-    spec.vm_branches = vc.branches;
+    cost.vm_used = true;
+    cost.vm_loads = vc.loads;
+    cost.vm_tests = vc.tests;
+    cost.vm_branches = vc.branches;
   }
 }
 
 void commit_spec_probe(MatchContext& ctx, const Task& task,
                        const SpecProbe& spec) {
-  const int si = side_index(task.side());
+  const ActivationCost& cost = spec.cost;
   ctx.stats->line_collisions += spec.collisions;
-  count_opp_examined(*ctx.stats, si, spec.examined);
-  count_bucket_chain(*ctx.stats, spec.examined);
-  ctx.stats->emissions += spec.pairs;
-  if (spec.vm_used) {
-    ctx.stats->vm_loads += spec.vm_loads;
-    ctx.stats->vm_tests += spec.vm_tests;
-    ctx.stats->vm_branches += spec.vm_branches;
-  }
+  count_opp_examined(*ctx.stats, side_index(task.side()), cost.opp_examined);
+  count_bucket_chain(*ctx.stats, cost.opp_examined);
+  ctx.stats->emissions += cost.emissions;
+  ctx.stats->vm_loads += cost.vm_loads;
+  ctx.stats->vm_tests += cost.vm_tests;
+  ctx.stats->vm_branches += cost.vm_branches;
 }
 
 void process_terminal(MatchContext& ctx, WorldContext& world,

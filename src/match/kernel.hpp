@@ -2,8 +2,8 @@
 //
 // These functions implement exactly one node activation each, with explicit
 // locking preconditions instead of internal locks, so the drivers — the
-// sequential token loops, the threaded executor (match/worker_pool.hpp,
-// real spin locks), and the Multimax simulator (virtual-time locks) —
+// sequential token loops and the executor (match/worker_pool.hpp), which
+// real threads and the Multimax simulator's virtual CPUs both run —
 // execute the *same* match semantics and can only differ in scheduling.
 //
 // State is split along the world axis (src/world/):
@@ -74,7 +74,7 @@ struct ActivationCost {
   std::uint32_t alpha_tests = 0;
   std::uint32_t same_examined = 0;
   std::uint32_t opp_examined = 0;
-  std::uint32_t emissions = 0;
+  std::uint32_t emissions = 0;     // join pairs; a root's emitted tasks
   std::uint32_t key_slots = 0;     // compiled key slots read by the hash
   std::uint32_t emitted_wmes = 0;  // total flat-token wmes copied on emits
   bool hash_computed = false;
@@ -167,13 +167,8 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
 // Drivers run them fully under LineLocks::lock_writer — the paper's maxim
 // again: don't slow the common case to speed a rare one.
 struct SpecProbe {
-  std::uint32_t examined = 0;
-  std::uint32_t pairs = 0;
+  ActivationCost cost;           // opp_examined, emissions (pairs), VM ops
   std::uint64_t collisions = 0;  // prefilter misses, deferred
-  std::uint32_t vm_loads = 0;
-  std::uint32_t vm_tests = 0;
-  std::uint32_t vm_branches = 0;
-  bool vm_used = false;
 };
 void speculate_join_probe(MatchContext& ctx, WorldContext& world,
                           const Task& task, std::uint64_t hash,

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "match/machine.hpp"
 #include "obs/metrics.hpp"
 
 namespace psme::match {
@@ -13,6 +14,13 @@ inline void sample_line_probes(MatchStats& stats, int si,
   stats.line_acquisitions[si] += 1;
   if (stats.line_probe_hist[si]) stats.line_probe_hist[si]->record(probes);
 }
+
+// Takes a line's lock and charges the acquisition; returns its probes.
+inline std::uint64_t acquire(SpinLock& lock) {
+  const std::uint64_t probes = lock.lock();
+  charge(Machine::Cost::LockAcquire);
+  return probes;
+}
 }  // namespace
 
 LineLocks::LineLocks(std::uint32_t num_lines, LockScheme scheme)
@@ -21,7 +29,7 @@ LineLocks::LineLocks(std::uint32_t num_lines, LockScheme scheme)
 void LineLocks::lock_exclusive(std::uint32_t line, Side side,
                                MatchStats& stats) {
   const int si = side_index(side);
-  sample_line_probes(stats, si, lines_[line].simple.lock());
+  sample_line_probes(stats, si, acquire(lines_[line].simple));
 }
 
 void LineLocks::unlock_exclusive(std::uint32_t line) {
@@ -32,7 +40,8 @@ bool LineLocks::try_enter(std::uint32_t line, Side side, MatchStats& stats) {
   Line& l = lines_[line];
   const int si = side_index(side);
   const std::uint8_t mine = side == Side::Left ? kLeft : kRight;
-  sample_line_probes(stats, si, l.guard.lock());
+  sample_line_probes(stats, si, acquire(l.guard));
+  charge(Machine::Cost::MrswEnter);
   if (l.flag == kUnused || l.flag == mine) {
     l.flag = mine;
     ++l.users;
@@ -45,7 +54,7 @@ bool LineLocks::try_enter(std::uint32_t line, Side side, MatchStats& stats) {
 
 void LineLocks::leave(std::uint32_t line) {
   Line& l = lines_[line];
-  l.guard.lock();
+  acquire(l.guard);
   assert(l.users > 0);
   if (--l.users == 0) l.flag = kUnused;
   l.guard.unlock();
@@ -55,7 +64,8 @@ bool LineLocks::try_enter_exclusive(std::uint32_t line, Side side,
                                     MatchStats& stats) {
   Line& l = lines_[line];
   const int si = side_index(side);
-  sample_line_probes(stats, si, l.guard.lock());
+  sample_line_probes(stats, si, acquire(l.guard));
+  charge(Machine::Cost::MrswEnter);
   if (l.flag == kUnused) {
     l.flag = kExclusive;
     l.users = 1;
@@ -71,7 +81,8 @@ void LineLocks::leave_exclusive(std::uint32_t line) { leave(line); }
 void LineLocks::lock_modification(std::uint32_t line, Side side,
                                   MatchStats& stats) {
   const int si = side_index(side);
-  sample_line_probes(stats, si, lines_[line].modification.lock());
+  sample_line_probes(stats, si, acquire(lines_[line].modification));
+  charge(Machine::Cost::MrswModification);
 }
 
 void LineLocks::unlock_modification(std::uint32_t line) {
@@ -93,8 +104,14 @@ std::uint32_t LineLocks::seq_begin(std::uint32_t line) const {
   const Line& l = lines_[line];
   for (;;) {
     const std::uint32_t s = l.seq.load(std::memory_order_acquire);
-    if ((s & 1u) == 0) return s;
-    SpinLock::cpu_relax();
+    if ((s & 1u) == 0) {
+      charge(Machine::Cost::SeqRead);
+      return s;
+    }
+    if (Machine* m = machine())
+      m->relax();
+    else
+      SpinLock::cpu_relax();
   }
 }
 
@@ -106,7 +123,8 @@ bool LineLocks::seq_validate(std::uint32_t line, std::uint32_t s0) const {
 bool LineLocks::try_writer_commit(std::uint32_t line, std::uint32_t s0,
                                   Side side, MatchStats& stats) {
   Line& l = lines_[line];
-  sample_line_probes(stats, side_index(side), l.modification.lock());
+  sample_line_probes(stats, side_index(side), acquire(l.modification));
+  charge(Machine::Cost::SeqRead);
   // Writers only advance the sequence while holding the lock we now own, so
   // this comparison cannot go stale before we mark the line odd ourselves.
   if (l.seq.load(std::memory_order_relaxed) != s0) {
@@ -114,14 +132,16 @@ bool LineLocks::try_writer_commit(std::uint32_t line, std::uint32_t s0,
     return false;
   }
   l.seq.store(s0 + 1, std::memory_order_relaxed);
+  charge(Machine::Cost::SeqWrite);
   return true;
 }
 
 void LineLocks::lock_writer(std::uint32_t line, Side side, MatchStats& stats) {
   Line& l = lines_[line];
-  sample_line_probes(stats, side_index(side), l.modification.lock());
+  sample_line_probes(stats, side_index(side), acquire(l.modification));
   l.seq.store(l.seq.load(std::memory_order_relaxed) + 1,
               std::memory_order_relaxed);
+  charge(Machine::Cost::SeqWrite);
 }
 
 void LineLocks::unlock_writer(std::uint32_t line) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "match/machine.hpp"
 #include "obs/metrics.hpp"
 
 namespace psme::match {
@@ -52,6 +53,7 @@ WorkStealingScheduler::WorkStealingScheduler(int endpoints,
 void WorkStealingScheduler::place(const Task* tasks, std::size_t n,
                                   unsigned who, MatchStats& stats) {
   Endpoint& e = *eps_[who];
+  charge(Machine::Cost::DequePublish, n);
   const std::size_t placed = e.deque.push_batch(tasks, n);
   // One publication per batch, uncontended by construction: account it as
   // a single-probe acquisition so queue_contention() stays comparable
@@ -68,6 +70,8 @@ void WorkStealingScheduler::place(const Task* tasks, std::size_t n,
   // other task-queue lock).
   {
     SpinGuard g(e.ovf_lock, &stats.queue_probes);
+    charge(Machine::Cost::LockAcquire);
+    charge(Machine::Cost::Overflow, n - placed);
     stats.queue_acquisitions += 1;
     for (std::size_t i = placed; i < n; ++i) e.overflow.push_back(tasks[i]);
     e.ovf_size.store(static_cast<std::uint32_t>(e.overflow.size()),
@@ -103,8 +107,10 @@ bool WorkStealingScheduler::pop_own_overflow(Task* out, Endpoint& e,
                                              MatchStats& stats) {
   if (e.ovf_size.load(std::memory_order_relaxed) == 0) return false;
   SpinGuard g(e.ovf_lock, &stats.queue_probes);
+  charge(Machine::Cost::LockAcquire);
   stats.queue_acquisitions += 1;
   if (e.overflow.empty()) return false;
+  charge(Machine::Cost::Overflow);
   *out = e.overflow.front();
   e.overflow.pop_front();
   e.ovf_size.store(static_cast<std::uint32_t>(e.overflow.size()),
@@ -116,8 +122,10 @@ bool WorkStealingScheduler::steal_from(Task* out, Endpoint& victim,
                                        MatchStats& stats) {
   for (;;) {
     stats.steal_attempts += 1;
+    charge(Machine::Cost::StealProbe);
     switch (victim.deque.steal(out)) {
       case WsDeque::Steal::Got:
+        charge(Machine::Cost::StealCas);
         stats.steal_successes += 1;
         stats.queue_probes += 1;
         stats.queue_acquisitions += 1;
@@ -134,10 +142,12 @@ overflow:
   // A victim mid-spill can hold tasks only in its overflow list.
   if (victim.ovf_size.load(std::memory_order_relaxed) == 0) return false;
   if (!victim.ovf_lock.try_lock()) return false;
+  charge(Machine::Cost::LockAcquire);
   stats.queue_probes += 1;
   stats.queue_acquisitions += 1;
   bool got = false;
   if (!victim.overflow.empty()) {
+    charge(Machine::Cost::Overflow);
     *out = victim.overflow.front();
     victim.overflow.pop_front();
     victim.ovf_size.store(static_cast<std::uint32_t>(victim.overflow.size()),
@@ -153,6 +163,7 @@ bool WorkStealingScheduler::try_pop(Task* out, unsigned who,
                                     MatchStats& stats) {
   Endpoint& mine = *eps_[who];
   if (mine.deque.pop(out)) {
+    charge(Machine::Cost::DequePop);
     stats.queue_probes += 1;
     stats.queue_acquisitions += 1;
     if (stats.queue_probe_hist) stats.queue_probe_hist->record(1);

@@ -82,6 +82,9 @@ class CentralScheduler final : public Scheduler {
   std::int64_t task_count() const override { return set_.task_count(); }
   int endpoints() const override { return static_cast<int>(eps_.size()); }
   int num_queues() const { return set_.num_queues(); }
+  // The paper's discipline publishes every emission: its queue-contention
+  // tables (4-5 to 4-7) count a queue round trip per task.
+  bool allows_continuation() const override { return false; }
 
  private:
   // Each endpoint's rotating queue hint, cache-line isolated; only the

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "match/machine.hpp"
 #include "obs/metrics.hpp"
 
 namespace psme::match {
@@ -19,27 +20,22 @@ void TaskQueueSet::enqueue(const Task& task, unsigned hint,
   std::uint64_t probes = 0;
   // Try-lock scan: take the first queue whose lock we win; if all are busy,
   // block on the preferred one.
-  for (std::size_t attempt = 0; attempt < n; ++attempt) {
-    Queue& q = *queues_[(hint + attempt) % n];
+  Queue* q = nullptr;
+  for (std::size_t attempt = 0; attempt < n && !q; ++attempt) {
+    Queue& cand = *queues_[(hint + attempt) % n];
     ++probes;
-    if (q.lock.try_lock()) {
-      q.items.push_back(task);
-      const auto depth = static_cast<std::uint32_t>(q.items.size());
-      q.approx_size.store(depth, std::memory_order_relaxed);
-      q.lock.unlock();
-      stats.queue_probes += probes;
-      stats.queue_acquisitions += 1;
-      if (stats.queue_probe_hist) stats.queue_probe_hist->record(probes);
-      if (stats.queue_depth_hist) stats.queue_depth_hist->record(depth);
-      return;
-    }
+    if (cand.lock.try_lock()) q = &cand;
   }
-  Queue& q = *queues_[hint % n];
-  probes += q.lock.lock() - 1;  // first probe of lock() already counted above
-  q.items.push_back(task);
-  const auto depth = static_cast<std::uint32_t>(q.items.size());
-  q.approx_size.store(depth, std::memory_order_relaxed);
-  q.lock.unlock();
+  if (!q) {
+    q = queues_[hint % n].get();
+    probes += q->lock.lock() - 1;  // first probe of lock() already counted
+  }
+  charge(Machine::Cost::LockAcquire);
+  charge(Machine::Cost::QueuePush);
+  q->items.push_back(task);
+  const auto depth = static_cast<std::uint32_t>(q->items.size());
+  q->approx_size.store(depth, std::memory_order_relaxed);
+  q->lock.unlock();
   stats.queue_probes += probes;
   stats.queue_acquisitions += 1;
   if (stats.queue_probe_hist) stats.queue_probe_hist->record(probes);
@@ -63,6 +59,7 @@ bool TaskQueueSet::try_pop(Task* out, unsigned hint, MatchStats& stats) {
     Queue& q = *queues_[(hint + attempt) % n];
     if (q.approx_size.load(std::memory_order_relaxed) == 0) continue;
     const std::uint64_t probes = q.lock.lock();
+    charge(Machine::Cost::LockAcquire);
     stats.queue_probes += probes;
     stats.queue_acquisitions += 1;
     if (stats.queue_probe_hist) stats.queue_probe_hist->record(probes);
@@ -71,6 +68,7 @@ bool TaskQueueSet::try_pop(Task* out, unsigned hint, MatchStats& stats) {
       q.items.pop_front();
       q.approx_size.store(static_cast<std::uint32_t>(q.items.size()),
                           std::memory_order_relaxed);
+      charge(Machine::Cost::QueuePop);
       q.lock.unlock();
       return true;
     }

@@ -1,9 +1,7 @@
 #include "match/worker_pool.hpp"
 
-#include <chrono>
-
+#include "match/machine.hpp"
 #include "obs/observability.hpp"
-#include "obs/task_events.hpp"
 #include "rr/fault.hpp"
 #include "rr/recorder.hpp"
 
@@ -16,22 +14,44 @@ void execute_task(MatchContext& ctx, WorldContext& world,
                   unsigned ep, rr::Recorder* record,
                   rr::FaultInjector* faults, obs::TraceRecorder* trace) {
   MatchStats& stats = *ctx.stats;
+  // On a Machine every step is charged, and trace timestamps are its clock.
+  Machine* const m = machine();
+  auto clock_us = [&] { return m ? m->now_us() : trace->wall_us(); };
   double ts0 = 0;
   std::uint64_t line0 = 0, queue0 = 0;
   if (trace) {
-    ts0 = trace->wall_us();
+    ts0 = clock_us();
     line0 = stats.line_probes[0] + stats.line_probes[1];
     queue0 = stats.queue_probes;
   }
+  if (m) m->charge(Machine::Cost::TaskDispatch);
+  // Cost facts are gathered only for a Machine to price.
+  ActivationCost update_cost, probe_cost;
+  ActivationCost* const uc = m ? &update_cost : nullptr;
+  ActivationCost* const pc = m ? &probe_cost : nullptr;
+  // Both phases of a join under a lock the caller holds, each charged.
+  auto locked_join = [&](const std::uint64_t& hash) {
+    const MemUpdate update = process_join_update(ctx, world, task, uc, &hash);
+    if (m) m->charge(Machine::Phase::JoinUpdate, task, update_cost);
+    process_join_probe(ctx, world, task, update, emit_buf, pc);
+    if (m) m->charge(Machine::Phase::JoinProbe, task, probe_cost);
+  };
   // Stamps one complete event covering the task just processed (including
   // the emission pushes) with the lock probes it accrued.
-  auto trace_event = [&](obs::TraceEventKind kind) {
+  auto trace_event = [&](bool requeued) {
+    using Kind = obs::TraceEventKind;
+    constexpr Kind kKindOf[] = {Kind::Root, Kind::JoinLeft, Kind::JoinRight,
+                                Kind::Terminal};  // by TaskKind
     obs::TraceEvent ev;
     ev.ts_us = ts0;
-    ev.dur_us = trace->wall_us() - ts0;
-    ev.kind = kind;
+    ev.dur_us = clock_us() - ts0;
+    ev.kind = !requeued ? kKindOf[static_cast<int>(task.kind)]
+              : task.side() == Side::Left ? Kind::RequeueLeft
+                                          : Kind::RequeueRight;
     ev.sign = task.sign;
-    ev.node = obs::trace_node_of(task);
+    ev.node = task.join       ? static_cast<std::uint32_t>(task.join->id)
+              : task.terminal ? task.terminal->prod_index
+                              : 0;
     ev.line_probes = static_cast<std::uint32_t>(
         stats.line_probes[0] + stats.line_probes[1] - line0);
     ev.queue_probes =
@@ -43,7 +63,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
   };
   auto requeue = [&] {
     sched.requeue(task, ep, stats);
-    if (trace) trace_event(obs::trace_requeue_kind_of(task));
+    if (trace) trace_event(/*requeued=*/true);
   };
   // Record/replay: join tasks are logged at their commit point — while the
   // line lock that orders them against conflicting activations is still
@@ -55,17 +75,18 @@ void execute_task(MatchContext& ctx, WorldContext& world,
   auto commit = [&] {
     if (record) record->on_commit(ep, task);
     if (faults)
-      if (const std::uint32_t us = faults->lock_delay(ep))
-        std::this_thread::sleep_for(std::chrono::microseconds(us));
+      if (const std::uint32_t delay = faults->lock_delay(ep)) pause(delay);
   };
 
   emit_buf.clear();
   switch (task.kind) {
     case TaskKind::Root:
-      process_root(ctx, world, net, task, emit_buf);
+      process_root(ctx, world, net, task, emit_buf, uc);
+      if (m) m->charge(Machine::Phase::Root, task, update_cost);
       break;
     case TaskKind::Terminal:
       process_terminal(ctx, world, task);
+      if (m) m->charge(Machine::Phase::Terminal, task, update_cost);
       break;
     case TaskKind::JoinLeft:
     case TaskKind::JoinRight: {
@@ -78,7 +99,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
       switch (locks.scheme()) {
         case LockScheme::Simple:
           locks.lock_exclusive(line, side, stats);
-          process_join(ctx, world, task, emit_buf, nullptr, &hash);
+          locked_join(hash);
           commit();
           locks.unlock_exclusive(line);
           break;
@@ -89,7 +110,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
           // conflict, never a missed one.
           auto writer_join = [&] {
             locks.lock_writer(line, side, stats);
-            process_join(ctx, world, task, emit_buf, nullptr, &hash);
+            locked_join(hash);
             commit();
             locks.unlock_writer(line);
           };
@@ -104,12 +125,14 @@ void execute_task(MatchContext& ctx, WorldContext& world,
             const std::uint32_t s0 = locks.seq_begin(line);
             SpecProbe spec;
             speculate_join_probe(ctx, world, task, hash, emit_buf, spec);
+            if (m) m->charge(Machine::Phase::JoinProbe, task, spec.cost);
             if (!locks.try_writer_commit(line, s0, side, stats)) {
               ++retries;
               continue;
             }
             const MemUpdate update =
-                process_join_update(ctx, world, task, nullptr, &hash);
+                process_join_update(ctx, world, task, uc, &hash);
+            if (m) m->charge(Machine::Phase::JoinUpdate, task, update_cost);
             if (update.outcome == MemUpdate::Outcome::Inserted ||
                 update.outcome == MemUpdate::Outcome::Removed) {
               commit_spec_probe(ctx, task, spec);
@@ -137,7 +160,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
               requeue();
               return;  // task still counted in TaskCount
             }
-            process_join(ctx, world, task, emit_buf, nullptr, &hash);
+            locked_join(hash);
             commit();
             locks.leave_exclusive(line);
             break;
@@ -148,13 +171,15 @@ void execute_task(MatchContext& ctx, WorldContext& world,
           }
           locks.lock_modification(line, side, stats);
           const MemUpdate update =
-              process_join_update(ctx, world, task, nullptr, &hash);
+              process_join_update(ctx, world, task, uc, &hash);
+          if (m) m->charge(Machine::Phase::JoinUpdate, task, update_cost);
           // The memory update is what conflicting opposite-side tasks
           // observe; the probe after unlock only reads the already-frozen
           // opposite side.
           commit();
           locks.unlock_modification(line);
-          process_join_probe(ctx, world, task, update, emit_buf);
+          process_join_probe(ctx, world, task, update, emit_buf, pc);
+          if (m) m->charge(Machine::Phase::JoinProbe, task, probe_cost);
           locks.leave(line);
           break;
         }
@@ -179,7 +204,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
   const std::size_t n = emit_buf.size();
   const bool continue_here = n > 0 && sched.allows_continuation();
   sched.push_batch(emit_buf.data(), continue_here ? n - 1 : n, ep, stats);
-  if (trace) trace_event(obs::trace_kind_of(task.kind));
+  if (trace) trace_event(/*requeued=*/false);
   if (!continue_here) {
     sched.task_done();
     return;
@@ -199,8 +224,10 @@ WorkerPool::WorkerPool(const rete::Network& net, const rete::CodeStore* code,
       locks_(lock_lines, scheme),
       worlds_(std::move(worlds)),
       hooks_(hooks) {
-  for (int i = 0; i < workers; ++i)
+  for (int i = 0; i < workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
+    workers_.back()->ex = make_executor(&workers_.back()->stats);
+  }
   control_ = make_executor(nullptr);
 }
 
@@ -226,18 +253,20 @@ WorkerPool::Executor WorkerPool::make_executor(MatchStats* stats) const {
 
 void WorkerPool::begin_run(MatchStats& control_stats) {
   ++runs_started_;
+  control_.ctx.stats = &control_stats;
+  if (obs::Observability* obs = hooks_.obs) {
+    obs->trace.enable(static_cast<int>(workers_.size()) + 1,
+                      machine() ? "virtual" : "wall");
+    obs->attach_worker(control_stats, 0);
+    for (std::size_t i = 0; i < workers_.size(); ++i)
+      obs->attach_worker(workers_[i]->stats, static_cast<int>(i) + 1);
+  }
+  if (machine()) return;  // its CPUs call run_one themselves
   if (thread_spawns_ == 0) {
     for (unsigned ep = 0; ep < workers_.size(); ++ep) {
       workers_[ep]->thread = std::thread([this, ep] { worker_main(ep); });
       ++thread_spawns_;
     }
-  }
-  control_.ctx.stats = &control_stats;
-  if (obs::Observability* obs = hooks_.obs) {
-    obs->trace.enable(static_cast<int>(workers_.size()) + 1, "wall");
-    obs->attach_worker(control_stats, 0);
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-      obs->attach_worker(workers_[i]->stats, static_cast<int>(i) + 1);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -251,7 +280,7 @@ void WorkerPool::wait_quiescent() {
   // spinning idle here would leave a core unused for the whole phase.
   std::uint32_t idle = 0;
   while (!sched_->phase_complete()) {
-    if (run_one(control_ep(), control_)) {
+    if (run_one(control_ep())) {
       idle = 0;
     } else if (++idle >= 64) {
       std::this_thread::yield();
@@ -266,7 +295,7 @@ void WorkerPool::end_run(MatchStats& into) {
   active_.store(false, std::memory_order_release);
   // Wait for every worker to park, so their stats are quiescent to merge
   // (the task queues are already drained — the driver reached quiescence).
-  {
+  if (thread_spawns_ > 0) {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [this] {
       return parked_ == static_cast<int>(workers_.size());
@@ -278,7 +307,8 @@ void WorkerPool::end_run(MatchStats& into) {
   }
 }
 
-bool WorkerPool::run_one(unsigned ep, Executor& ex) {
+bool WorkerPool::run_one(unsigned ep) {
+  Executor& ex = ep == control_ep() ? control_ : workers_[ep]->ex;
   rr::FaultInjector* const faults = hooks_.faults;
   MatchStats& stats = *ex.ctx.stats;
   if (faults) {
@@ -286,8 +316,7 @@ bool WorkerPool::run_one(unsigned ep, Executor& ex) {
       std::this_thread::yield();
       return false;
     }
-    if (const std::uint32_t us = faults->stall(ep))
-      std::this_thread::sleep_for(std::chrono::microseconds(us));
+    if (const std::uint32_t stall = faults->stall(ep)) pause(stall);
     if (faults->fail_pop(ep)) return false;
   }
   Task task;
@@ -311,7 +340,6 @@ bool WorkerPool::run_one(unsigned ep, Executor& ex) {
 }
 
 void WorkerPool::worker_main(unsigned ep) {
-  Executor ex = make_executor(&workers_[ep]->stats);
   for (;;) {
     {
       // Park between runs; begin_run() wakes the pool.
@@ -328,7 +356,7 @@ void WorkerPool::worker_main(unsigned ep) {
     std::uint32_t idle = 0;
     while (active_.load(std::memory_order_acquire) &&
            !shutdown_.load(std::memory_order_acquire)) {
-      if (run_one(ep, ex)) {
+      if (run_one(ep)) {
         idle = 0;
       } else if (++idle >= 16) {
         // Idle: between phases, or starved. Back off politely so the

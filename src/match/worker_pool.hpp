@@ -1,9 +1,10 @@
-// The threaded executor, PSM-E's one match protocol (Section 3): k match
-// processes pop tasks, take hash-line locks around each join activation,
-// and count TaskCount down. ParallelEngine drives it over its one world;
+// The executor, PSM-E's one match protocol (Section 3): k match processes
+// pop tasks, take hash-line locks around each join activation, and count
+// TaskCount down. ParallelEngine drives it over its one world on threads;
 // world::BatchEngine's threaded mode over all of its worlds, resolving each
-// task's world from Task::world. (SimEngine keeps a coroutine copy of the
-// dispatch that charges virtual time at every step.)
+// task's world from Task::world; sim::SimEngine on the virtual CPUs of its
+// Multimax simulator, which call run_one() from fibers and price every
+// step through match::Machine (match/machine.hpp).
 //
 // Two departures from the paper keep per-task synchronization off the hot
 // path on real cores: the control thread runs tasks while it waits for
@@ -89,7 +90,8 @@ class WorkerPool {
   // Wakes the workers. With an Observability hook, first re-arms its trace
   // (stream 0 = control, 1..k = workers) and attaches `control_stats` and
   // the workers' statistics to it. The tasks the control thread runs count
-  // into `control_stats`.
+  // into `control_stats`. Under a match::Machine no thread is spawned or
+  // woken: the machine's CPUs drive run_one() themselves.
   void begin_run(MatchStats& control_stats);
   // Runs tasks at control_ep() until the scheduler's TaskCount reaches
   // zero. Control thread only, between begin_run() and end_run().
@@ -97,26 +99,29 @@ class WorkerPool {
   // Parks the workers and merges their statistics into `into`.
   void end_run(MatchStats& into);
 
+  // Pops one task at endpoint `ep` and runs it, with its continuations;
+  // false when none was popped.
+  bool run_one(unsigned ep);
+
   std::uint64_t threads_spawned() const { return thread_spawns_; }
   std::uint64_t runs_started() const { return runs_started_; }
 
  private:
+  // What one endpoint executes with.
+  struct alignas(64) Executor {
+    MatchContext ctx;
+    std::vector<Task> emit_buf;
+  };
   // Each thread writes its own statistics and executor on every task; the
   // cache-line alignment keeps those writes off lines other threads read,
   // such as a neighbouring worker's counters or active_.
   struct alignas(64) Worker {
     MatchStats stats;
+    Executor ex;
     std::thread thread;
-  };
-  // What one endpoint's thread executes with.
-  struct alignas(64) Executor {
-    MatchContext ctx;
-    std::vector<Task> emit_buf;
   };
 
   Executor make_executor(MatchStats* stats) const;
-  // Pops one task at `ep` and runs it; false when none was popped.
-  bool run_one(unsigned ep, Executor& ex);
   void worker_main(unsigned ep);
 
   const rete::Network& net_;

@@ -21,7 +21,7 @@
 //  - StealFail:        try_pop is forced to fail (models a lost steal-CAS
 //                      race) — the worker retries.
 //  - WorkerDeath:      from `at_cycle` on, the worker stops participating
-//                      permanently (threads: parks; sim: coroutine
+//                      permanently (threads: parks; sim: its fiber
 //                      returns). Recovery is the harness's job via
 //                      serve::Checkpoint restore.
 //  - LoseTask:         a popped task is *discarded* but still counted done

@@ -19,11 +19,9 @@
 //    report's first_bad_cycle; when the log stored per-entry hashes the
 //    report names the first differing instantiations.
 //
-// Engines integrate differently: ParallelEngine swaps its Scheduler for
-// make_replay_scheduler() (workers, and the control thread while it waits
-// for quiescence, poll it concurrently); SimEngine is single-threaded and
-// calls the coordinator's poll/completed primitives directly from its pop
-// coroutine.
+// ParallelEngine and SimEngine both swap their Scheduler for
+// make_replay_scheduler(); threads poll it, simulated CPUs sleep until a
+// push or a completion wakes them.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +100,6 @@ class ReplayCoordinator {
   void completed();
   void requeued();
 
-  bool free_mode() const { return free_.load(std::memory_order_acquire); }
-  bool in_flight() const { return in_flight_.load(std::memory_order_acquire); }
 
   ReplayReport report() const;
 

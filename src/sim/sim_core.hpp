@@ -1,276 +1,140 @@
-// Discrete-event substrate for the Multimax simulator.
+// Discrete-event substrate for the Multimax simulator: virtual CPUs on
+// fibers.
 //
-// Each virtual processor runs a C++20 coroutine; the single-threaded
-// scheduler resumes whichever processor has the smallest virtual clock, so
-// processors interleave deterministically at their await points (time
-// advances, lock acquisitions, sleeps). Because only one coroutine runs at
-// a time, the coroutines mutate the shared matcher state directly — the
-// simulated locks exist to *account* for waiting time and probe counts,
-// exactly the contention the paper instruments in Tables 4-7 and 4-9.
+// Each virtual CPU runs ordinary code on its own fiber (an mmap'd stack
+// with a guard page) and carries a virtual clock in NS32032 instructions.
+// One host thread runs every fiber. Whenever the running CPU advances its
+// clock it hands the processor to the ready CPU with the smallest clock
+// (ties go to the one queued first), so CPUs interleave deterministically
+// at their charge points. Code between two charges runs atomically at the
+// CPU's current time, which is why the fibers can run the real executor —
+// schedulers, line locks and all — and share its data structures directly.
+//
+// The Scheduler is also the match::Machine the executor charges while
+// run() is on the stack: each Machine::Cost is priced by the CostModel, and
+// a publication wakes the sleepers registered with wake_on_publish(). A
+// contended SpinLock parks its CPU; the release hands the lock straight to
+// the spinner whose next probe (every probe_interval since it arrived)
+// comes first, and charges it the probes spun. Handing over, rather than
+// letting newcomers barge between a release and the next probe, keeps a
+// deterministic schedule from starving a spinner forever.
 #pragma once
 
-#include <cassert>
-#include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "match/machine.hpp"
 #include "sim/cost_model.hpp"
 
 namespace psme::sim {
 
-class Scheduler;
+class Fiber;
 
 struct SimCpu {
-  int id = 0;
   VTime now = 0;
+  std::unique_ptr<Fiber> fiber;
+  std::function<void()> body;
+
+  SimCpu();
+  ~SimCpu();
 };
 
-// Fire-and-forget coroutine type for a virtual processor's program.
-struct Proc {
-  struct promise_type {
-    Proc get_return_object() {
-      return Proc{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-  std::coroutine_handle<promise_type> handle;
-};
-
-// An awaitable sub-coroutine with symmetric-transfer continuation chaining,
-// used to factor multi-await operations (queue push/pop, locked join
-// processing) out of the processor main loops. Must be co_awaited exactly
-// once; the frame is destroyed when the result is consumed.
-template <typename T>
-struct SubTask {
-  struct promise_type {
-    T value{};
-    std::coroutine_handle<> continuation;
-    SubTask get_return_object() {
-      return SubTask{
-          std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    auto final_suspend() noexcept {
-      struct Fin {
-        bool await_ready() const noexcept { return false; }
-        std::coroutine_handle<> await_suspend(
-            std::coroutine_handle<promise_type> h) noexcept {
-          auto c = h.promise().continuation;
-          return c ? c : std::noop_coroutine();
-        }
-        void await_resume() const noexcept {}
-      };
-      return Fin{};
-    }
-    void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { std::terminate(); }
-  };
-
-  std::coroutine_handle<promise_type> h;
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-    h.promise().continuation = cont;
-    return h;
-  }
-  T await_resume() {
-    T v = std::move(h.promise().value);
-    h.destroy();
-    return v;
-  }
-};
-
-// A simulated test-and-test-and-set spin lock.
-struct SimLock {
-  struct Waiter {
-    SimCpu* cpu;
-    VTime arrival;
-    std::coroutine_handle<> cont;
-    std::uint64_t* probes;  // where this waiter accounts its probe count
-    obs::HistogramShard* hist;  // optional probes-per-acquisition sample
-  };
-  bool held = false;
-  std::deque<Waiter> waiters;
-};
-
-// FIFO of processors sleeping on a condition (empty queues, TaskCount).
+// FIFO of CPUs sleeping on a condition (no runnable task, TaskCount > 0).
 struct SleepList {
-  struct Sleeper {
-    SimCpu* cpu;
-    std::coroutine_handle<> cont;
-  };
-  std::deque<Sleeper> sleepers;
-  bool empty() const { return sleepers.empty(); }
+  std::deque<SimCpu*> sleepers;
 };
 
-class Scheduler {
+class Scheduler final : public match::Machine {
  public:
-  explicit Scheduler(const CostModel& cost) : cost_(cost) {}
-  ~Scheduler() {
-    for (Proc& p : procs_) {
-      if (p.handle) p.handle.destroy();
-    }
-  }
+  explicit Scheduler(const CostModel& cost);
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  SimCpu& add_cpu() {
-    cpus_.push_back(std::make_unique<SimCpu>());
-    cpus_.back()->id = static_cast<int>(cpus_.size()) - 1;
-    return *cpus_.back();
+  SimCpu& add_cpu();
+  // Runs `body` on `cpu`'s fiber, starting at cpu.now.
+  void start(SimCpu& cpu, std::function<void()> body);
+  // Runs the CPUs, smallest clock first, until none is ready, with this
+  // scheduler installed as the thread's match::Machine. Rethrows the first
+  // exception a body let escape (the other fibers are then abandoned).
+  void run();
+
+  // --- the running CPU ---------------------------------------------------
+  SimCpu& current() { return *current_; }
+  // Advances the running CPU's clock by `n` and yields to the smallest.
+  void spend(VTime n);
+  // Parks the running CPU on `list` until a wake_one/wake_all.
+  void sleep(SleepList& list);
+
+  // Readies the first sleeper at max(its clock, at) + wake_latency.
+  void wake_one(SleepList& list, VTime at);
+  void wake_all(SleepList& list, VTime at);
+
+  // Sleepers to wake when the executor publishes tasks: one per task, or
+  // all of them when `broadcast`.
+  void wake_on_publish(SleepList* list, bool broadcast) {
+    publish_list_ = list;
+    broadcast_ = broadcast;
   }
+  // Publication charges so far: a CPU that saw this change while it looked
+  // for work must look again instead of sleeping.
+  std::uint64_t publications() const { return publications_; }
 
-  // Registers a processor program and schedules its first step at cpu.now.
-  void start(SimCpu& cpu, Proc proc) {
-    procs_.push_back(proc);
-    ready(cpu, proc.handle);
+  // --- match::Machine ------------------------------------------------------
+  void charge(Cost cost, std::size_t n = 1) override;
+  void charge(Phase phase, const match::Task& task,
+              const match::ActivationCost& ac) override;
+  std::uint64_t spin_wait(std::atomic<std::uint32_t>& word) override;
+  bool hand_off(std::atomic<std::uint32_t>& word) override;
+  void relax() override { spend(cost_.probe_interval); }
+  void pause(std::uint32_t magnitude) override { spend(magnitude); }
+  double now_us() const override {
+    return cost_.to_seconds(current_->now) * 1e6;
   }
-
-  // Schedules `cont` to resume at cpu.now.
-  void ready(SimCpu& cpu, std::coroutine_handle<> cont) {
-    heap_.push(Event{cpu.now, seq_++, cont});
-  }
-
-  // Drives the event loop until no events remain.
-  void run() {
-    while (!heap_.empty()) {
-      const Event ev = heap_.top();
-      heap_.pop();
-      ev.cont.resume();
-    }
-  }
-
-  // --- awaitables ---------------------------------------------------------
-
-  // Advance this cpu's clock by `n` instructions.
-  auto spend(SimCpu& cpu, VTime n) {
-    struct Aw {
-      Scheduler& s;
-      SimCpu& c;
-      VTime n;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        c.now += n;
-        s.ready(c, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Aw{*this, cpu, n};
-  }
-
-  // Acquire a simulated spin lock, accounting probes/acquisitions and,
-  // when `hist` is given, the probes-per-acquisition distribution
-  // (psme.queue/line.probes_per_acquisition in the obs registry).
-  auto acquire(SimCpu& cpu, SimLock& lock, std::uint64_t* probes,
-               std::uint64_t* acquisitions,
-               obs::HistogramShard* hist = nullptr) {
-    struct Aw {
-      Scheduler& s;
-      SimCpu& c;
-      SimLock& l;
-      std::uint64_t* probes;
-      std::uint64_t* acqs;
-      obs::HistogramShard* hist;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        if (acqs) *acqs += 1;
-        if (!l.held) {
-          l.held = true;
-          if (probes) *probes += 1;
-          if (hist) hist->record(1);
-          c.now += s.cost_.lock_acquire;
-          s.ready(c, h);
-          return;
-        }
-        l.waiters.push_back(SimLock::Waiter{&c, c.now, h, probes, hist});
-      }
-      void await_resume() const noexcept {}
-    };
-    return Aw{*this, cpu, lock, probes, acquisitions, hist};
-  }
-
-  // Release; hands the lock to the waiter whose next spin-probe comes first.
-  void release(SimLock& lock, VTime now) {
-    assert(lock.held);
-    if (lock.waiters.empty()) {
-      lock.held = false;
-      return;
-    }
-    const VTime p = cost_.probe_interval;
-    std::size_t best = 0;
-    VTime best_t = next_probe(lock.waiters[0].arrival, now, p);
-    for (std::size_t i = 1; i < lock.waiters.size(); ++i) {
-      const VTime t = next_probe(lock.waiters[i].arrival, now, p);
-      if (t < best_t) {
-        best = i;
-        best_t = t;
-      }
-    }
-    SimLock::Waiter w = lock.waiters[best];
-    lock.waiters.erase(lock.waiters.begin() +
-                       static_cast<std::ptrdiff_t>(best));
-    const std::uint64_t spins = (best_t - w.arrival) / p + 1;
-    if (w.probes) *w.probes += spins;
-    if (w.hist) w.hist->record(spins);
-    w.cpu->now = best_t + cost_.lock_acquire;
-    ready(*w.cpu, w.cont);
-  }
-
-  // Sleep until woken (condition waits).
-  auto sleep(SimCpu& cpu, SleepList& list) {
-    struct Aw {
-      SimCpu& c;
-      SleepList& l;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        l.sleepers.push_back(SleepList::Sleeper{&c, h});
-      }
-      void await_resume() const noexcept {}
-    };
-    return Aw{cpu, list};
-  }
-
-  void wake_one(SleepList& list, VTime at) {
-    if (list.sleepers.empty()) return;
-    SleepList::Sleeper s = list.sleepers.front();
-    list.sleepers.pop_front();
-    s.cpu->now = std::max(s.cpu->now, at) + cost_.wake_latency;
-    ready(*s.cpu, s.cont);
-  }
-
-  void wake_all(SleepList& list, VTime at) {
-    while (!list.sleepers.empty()) wake_one(list, at);
-  }
-
-  const CostModel& cost() const { return cost_; }
 
  private:
-  static VTime next_probe(VTime arrival, VTime now, VTime interval) {
-    if (now <= arrival) return arrival;
-    return arrival + interval * ((now - arrival + interval - 1) / interval);
-  }
-
   struct Event {
     VTime t;
     std::uint64_t seq;
-    std::coroutine_handle<> cont;
+    SimCpu* cpu;
     bool operator>(const Event& o) const {
       return t != o.t ? t > o.t : seq > o.seq;
     }
   };
 
+  // A CPU parked on a contended SpinLock.
+  struct Spinner {
+    SimCpu* cpu;
+    VTime arrival;
+    std::uint64_t* probes;
+  };
+
+  void ready(SimCpu& cpu);
+  // Pops the next ready CPU and makes it current; run()'s context when
+  // none is ready or a body threw.
+  Fiber& next();
+  // Switches from the running CPU to the next ready one. Returns when the
+  // running CPU is resumed.
+  void dispatch();
+  void fiber_main(SimCpu* cpu);
+
   CostModel cost_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   std::uint64_t seq_ = 0;
   std::vector<std::unique_ptr<SimCpu>> cpus_;
-  std::vector<Proc> procs_;
+  SimCpu* current_ = nullptr;
+  std::unique_ptr<Fiber> host_;  // run()'s own context
+  std::exception_ptr error_;
+  std::unordered_map<const void*, std::deque<Spinner>> spinners_;
+  SleepList* publish_list_ = nullptr;
+  bool broadcast_ = false;
+  std::uint64_t publications_ = 0;
 };
 
 }  // namespace psme::sim

@@ -1,30 +1,28 @@
 // SimEngine: PSM-E on a simulated Encore Multimax.
 //
-// Runs the same match kernel and control loop as the threaded engine, but
-// on P virtual processors with clocks denominated in NS32032 instructions
-// (sim/cost_model.hpp). Queue and hash-line locks are simulated
-// test-and-test-and-set locks whose waiting time and probe counts follow
-// the cost model, so speed-ups (Tables 4-5/4-6/4-8) and spin-count
-// contention figures (Tables 4-7/4-9) are reproduced deterministically on
-// any host — including this repository's single-CPU build machine, which
-// cannot demonstrate real wall-clock speedup.
+// Runs the same executor as the threaded engine — match::WorkerPool's task
+// step, the real schedulers and LineLocks — on P virtual CPUs whose clocks
+// are denominated in NS32032 instructions (sim/cost_model.hpp). Each CPU is
+// a fiber of the discrete-event Scheduler (sim/sim_core.hpp), which prices
+// every step the executor charges and interleaves the CPUs in virtual time,
+// so spin probes on the queue and hash-line locks follow the cost model.
+// Speed-ups (Tables 4-5/4-6/4-8) and spin-count contention figures (Tables
+// 4-7/4-9) are thereby reproduced deterministically on any host.
 //
 // The control process (one extra virtual CPU, the paper's "1" in "1+k")
-// performs conflict resolution and RHS evaluation; with `pipeline` enabled
-// each working-memory change is pushed as soon as the RHS produces it, so
-// match overlaps RHS evaluation as in the paper. The uniprocessor baseline
-// column of the speed-up tables is obtained with pipeline=false and one
-// match process.
+// performs conflict resolution and RHS evaluation and does not match; with
+// `pipeline` enabled each working-memory change is pushed as soon as the
+// RHS produces it, so match overlaps RHS evaluation as in the paper. The
+// uniprocessor baseline column of the speed-up tables is obtained with
+// pipeline=false and one match process.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_base.hpp"
-#include "match/line_locks.hpp"
-#include "match/task_queue.hpp"
+#include "match/worker_pool.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sim_core.hpp"
 
@@ -59,111 +57,34 @@ class SimEngine : public EngineBase {
   double sim_total_seconds() const { return sim_total_seconds_; }
 
  protected:
-  // RHS effects are buffered and replayed with costs by the control CPU.
+  // RHS effects are buffered and pushed with their costs by the control CPU.
   void submit_change(const Wme* wme, std::int8_t sign) override;
   void wait_quiescent() override {}
 
  private:
-  struct SimQueue {
-    SimLock lock;
-    std::deque<match::Task> items;
-  };
-  // Work-stealing endpoint (options_.scheduler == Steal): the owner pushes
-  // and pops at the back, thieves take from the front — the virtual-time
-  // image of match::WsDeque, with the same bounded-capacity overflow
-  // discipline behind a simulated lock.
-  struct SimDeque {
-    std::deque<match::Task> items;
-    std::deque<match::Task> overflow;
-    SimLock overflow_lock;
-  };
-  struct MrswLine {
-    SimLock guard;
-    SimLock modification;
-    std::uint8_t flag = 0;  // 0 unused, 1 left, 2 right, 3 exclusive
-    std::uint32_t users = 0;
-  };
-  // Seqlock discipline: the writer lock (the threaded engine's
-  // modification lock) plus a commit counter standing in for the sequence
-  // word — commits that land between a task's first speculative read and
-  // its lock acquisition are exactly the torn attempts it would retry.
-  struct SeqLine {
-    SimLock writer;
-    std::uint64_t commits = 0;
-  };
-  struct WorkerState {
-    SimCpu* cpu = nullptr;
-    match::BumpArena arena;
-    MatchStats stats;
-    unsigned hint = 0;
-    unsigned id = 0;  // scheduler endpoint (steal discipline)
-    match::MatchContext ctx;
-  };
-  match::WorldContext world_;  // the simulator's single world
-
-  Proc control_main();
-  Proc worker_main(WorkerState& w);
-  SubTask<bool> push_task(SimCpu& cpu, match::Task task, unsigned hint,
-                          MatchStats& stats, bool is_requeue);
-  SubTask<bool> pop_task(SimCpu& cpu, match::Task* out, unsigned hint,
-                         MatchStats& stats);
-  // Steal discipline (virtual-time analogue of WorkStealingScheduler).
-  // `who` is the endpoint: worker i -> i, control -> match_processes.
-  bool steal_mode() const {
-    return options_.scheduler.value_or(kSimScheduler) ==
-           match::SchedulerKind::Steal;
-  }
-  SubTask<bool> steal_push(SimCpu& cpu, match::Task task, unsigned who,
-                           MatchStats& stats, bool is_requeue);
-  SubTask<bool> steal_push_batch(SimCpu& cpu,
-                                 const std::vector<match::Task>& tasks,
-                                 unsigned who, MatchStats& stats);
-  SubTask<bool> steal_pop(SimCpu& cpu, match::Task* out, unsigned who,
-                          MatchStats& stats);
-  // Await-free readiness check closing the missed-wakeup window between a
-  // failed steal sweep and going to sleep.
-  bool any_deque_ready() const;
-
-  // --- record/replay (src/rr/) -----------------------------------------
-  bool replay_mode() const { return options_.rr_replay != nullptr; }
-  // Replay serializes execution, so the one endpoint whose turn it is must
-  // wake: broadcast instead of wake_one.
-  void wake_for_push(SimCpu& cpu);
-  // Runnable tasks across whichever structure the discipline uses.
-  std::size_t queued_total() const;
-  bool have_fp(std::uint64_t fp) const;
-  bool take_by_fp(std::uint64_t fp, match::Task* out);
-  bool take_any(match::Task* out);
-  // Pop constrained to the recorded schedule (replaces pop_task/steal_pop
-  // when replaying).
-  SubTask<bool> replay_pop(SimCpu& cpu, match::Task* out, unsigned who,
-                           MatchStats& stats);
-  // Returns false if the task was requeued (MRSW opposite-side conflict).
-  SubTask<bool> join_task(SimCpu& cpu, WorkerState& w, match::Task task,
-                          std::vector<match::Task>& emit);
-
+  void control_main();
+  void worker_main(unsigned ep);
+  // Pushes one phase's root tasks with their RHS costs, then sleeps until
+  // the match phase is quiescent.
+  void run_phase(std::vector<std::pair<const Wme*, std::int8_t>> changes);
 
   SimConfig config_;
-  std::unique_ptr<match::HashTokenTable> left_table_;
-  std::unique_ptr<match::HashTokenTable> right_table_;
+  match::HashTokenTable left_table_;
+  match::HashTokenTable right_table_;
+  match::WorldContext world_;  // the simulator's single world
+  // One token arena per endpoint. Persistent across runs: the hash-table
+  // memories keep the tokens allocated from them.
+  std::vector<match::BumpArena> arenas_;
+  match::WorkerPool pool_;
+  MatchStats control_stats_;
 
   // Live only during run():
-  std::unique_ptr<Scheduler> sched_;
-  std::vector<SimQueue> queues_;
-  std::vector<SimDeque> deques_;  // steal discipline: P workers + control
-  std::vector<SimLock> simple_lines_;
-  std::vector<MrswLine> mrsw_lines_;
-  std::vector<SeqLine> seq_lines_;
-  // Persistent across runs: the hash-table memories hold tokens allocated
-  // from the workers' arenas, so worker state must outlive any single run.
-  std::vector<std::unique_ptr<WorkerState>> workers_;
-  SimCpu* control_cpu_ = nullptr;
-  MatchStats control_stats_;
-  std::int64_t task_count_ = 0;
+  Scheduler* des_ = nullptr;
   SleepList idle_workers_;
   SleepList control_wait_;
   bool shutdown_ = false;
   VTime sim_match_time_ = 0;
+  VTime last_idle_ = 0;  // control idle time in the last quiescence wait
 
   double sim_total_seconds_ = 0;
 };

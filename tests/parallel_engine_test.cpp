@@ -182,20 +182,21 @@ TEST(ParallelEngine, DefaultSchedulerStealsAndCentralStaysSelectable) {
 }
 
 // Continuation-first: a task's last emission runs next on the same
-// endpoint without a scheduler operation. Under Central every push and
-// every pop is one queue acquisition, so a run that pushed and popped each
-// task would acquire a queue twice per task.
+// endpoint without a scheduler operation. Work stealing counts one queue
+// acquisition per pop or steal, so a run that popped every task would
+// acquire at least once per task. (The central queues publish every task,
+// as the paper's queue tables assume.)
 TEST(ParallelEngine, ContinuationsSkipTheScheduler) {
   const auto w = workloads::rubik(6);
   auto program = ops5::Program::from_source(w.source);
   EngineOptions opt;
   opt.match_processes = 1;
-  opt.scheduler = match::SchedulerKind::Central;
+  opt.scheduler = match::SchedulerKind::Steal;
   ParallelEngine eng(program, opt);
   workloads::load(eng, w);
   const MatchStats& m = eng.run().stats.match;
   ASSERT_GT(m.tasks_executed, 0u);
-  EXPECT_LT(m.queue_acquisitions, 2 * m.tasks_executed);
+  EXPECT_LT(m.queue_acquisitions, m.tasks_executed);
 }
 
 TEST(ParallelEngine, WorkStealingEngineCanBeResumed) {

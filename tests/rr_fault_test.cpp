@@ -11,6 +11,15 @@
 #include "workloads/workloads.hpp"
 
 namespace psme::rr {
+
+// gtest's default printout of SingleFaultKind's parameter is a byte dump
+// and a pointer, and that printout ends up in the ctest test names. (Found
+// by argument-dependent lookup through FaultKind, so it lives here rather
+// than in the unnamed namespace.)
+void PrintTo(const std::tuple<FaultKind, const char*>& p, std::ostream* os) {
+  *os << fault_kind_name(std::get<0>(p)) << "/" << std::get<1>(p);
+}
+
 namespace {
 
 RunSpec small_spec(const std::string& mode, const std::string& sched) {

@@ -1,11 +1,16 @@
-// Unit tests for the discrete-event substrate: scheduler ordering, lock
-// probe accounting, sleep/wake, and SubTask chaining.
+// Unit tests for the discrete-event substrate: fiber ordering by virtual
+// clock, real spin locks probed in virtual time, sleep/wake, and the
+// match::Machine the executor charges.
 #include "sim/sim_core.hpp"
 
 #include <gtest/gtest.h>
 
+#include "common/spinlock.hpp"
+
 namespace psme::sim {
 namespace {
+
+using Cost = match::Machine::Cost;
 
 struct Harness {
   CostModel cost;
@@ -19,14 +24,16 @@ TEST(SimScheduler, ResumesInTimeOrder) {
   SimCpu& b = h.sched.add_cpu();
   b.now = 5;  // b starts later
 
-  auto prog = [](Harness& hh, SimCpu& cpu, int id, VTime step) -> Proc {
-    for (int i = 0; i < 3; ++i) {
-      hh.log.push_back(id);
-      co_await hh.sched.spend(cpu, step);
-    }
+  auto prog = [&h](int id, VTime step) {
+    return [&h, id, step] {
+      for (int i = 0; i < 3; ++i) {
+        h.log.push_back(id);
+        h.sched.spend(step);
+      }
+    };
   };
-  h.sched.start(a, prog(h, a, 1, 10));  // at t = 0, 10, 20
-  h.sched.start(b, prog(h, b, 2, 10));  // at t = 5, 15, 25
+  h.sched.start(a, prog(1, 10));  // at t = 0, 10, 20
+  h.sched.start(b, prog(2, 10));  // at t = 5, 15, 25
   h.sched.run();
   EXPECT_EQ(h.log, (std::vector<int>{1, 2, 1, 2, 1, 2}));
   EXPECT_EQ(a.now, 30u);
@@ -37,33 +44,34 @@ TEST(SimScheduler, TiesBreakBySequence) {
   Harness h;
   SimCpu& a = h.sched.add_cpu();
   SimCpu& b = h.sched.add_cpu();
-  auto prog = [](Harness& hh, SimCpu& cpu, int id) -> Proc {
-    hh.log.push_back(id);
-    co_await hh.sched.spend(cpu, 1);
-    hh.log.push_back(id);
+  auto prog = [&h](int id) {
+    return [&h, id] {
+      h.log.push_back(id);
+      h.sched.spend(1);
+      h.log.push_back(id);
+    };
   };
-  h.sched.start(a, prog(h, a, 1));
-  h.sched.start(b, prog(h, b, 2));
+  h.sched.start(a, prog(1));
+  h.sched.start(b, prog(2));
   h.sched.run();
-  // Same timestamps: insertion order decides, deterministically.
+  // Same timestamps: queue order decides, deterministically.
   EXPECT_EQ(h.log, (std::vector<int>{1, 2, 1, 2}));
 }
 
 TEST(SimLock, UncontendedAcquireIsOneProbe) {
   Harness h;
   SimCpu& a = h.sched.add_cpu();
-  SimLock lock;
-  std::uint64_t probes = 0, acqs = 0;
-  auto prog = [&]() -> Proc {
-    co_await h.sched.acquire(a, lock, &probes, &acqs);
-    co_await h.sched.spend(a, 10);
-    h.sched.release(lock, a.now);
-  };
-  h.sched.start(a, prog());
+  SpinLock lock;
+  std::uint64_t probes = 0;
+  h.sched.start(a, [&] {
+    probes = lock.lock();
+    h.sched.charge(Cost::LockAcquire);
+    h.sched.spend(10);
+    lock.unlock();
+  });
   h.sched.run();
   EXPECT_EQ(probes, 1u);
-  EXPECT_EQ(acqs, 1u);
-  EXPECT_FALSE(lock.held);
+  EXPECT_TRUE(lock.try_lock());
   // lock_acquire cost + critical section.
   EXPECT_EQ(a.now, h.cost.lock_acquire + 10);
 }
@@ -72,28 +80,27 @@ TEST(SimLock, WaiterAccountsSpinProbesAndWaitsForRelease) {
   Harness h;
   SimCpu& a = h.sched.add_cpu();
   SimCpu& b = h.sched.add_cpu();
-  SimLock lock;
-  std::uint64_t probes_a = 0, probes_b = 0;
+  SpinLock lock;
+  std::uint64_t probes_b = 0;
   VTime b_acquired_at = 0;
-
-  auto holder = [&]() -> Proc {
-    co_await h.sched.acquire(a, lock, &probes_a, nullptr);
-    co_await h.sched.spend(a, 100);  // long critical section
-    h.sched.release(lock, a.now);
-  };
-  auto waiter = [&]() -> Proc {
-    co_await h.sched.spend(b, 1);  // arrive just after the holder
-    co_await h.sched.acquire(b, lock, &probes_b, nullptr);
+  h.sched.start(a, [&] {
+    lock.lock();
+    h.sched.charge(Cost::LockAcquire);
+    h.sched.spend(100);  // long critical section
+    lock.unlock();
+  });
+  h.sched.start(b, [&] {
+    h.sched.spend(1);  // arrive just after the holder
+    probes_b = lock.lock();
+    h.sched.charge(Cost::LockAcquire);
     b_acquired_at = b.now;
-    h.sched.release(lock, b.now);
-  };
-  h.sched.start(a, holder());
-  h.sched.start(b, waiter());
+    lock.unlock();
+  });
   h.sched.run();
   // b spun for ~100 instructions at probe_interval granularity.
   EXPECT_GE(probes_b, 100 / h.cost.probe_interval);
   EXPECT_GE(b_acquired_at, h.cost.lock_acquire + 100);
-  EXPECT_FALSE(lock.held);
+  EXPECT_TRUE(lock.try_lock());
 }
 
 TEST(SimLock, ReleaseGrantsEarliestNextProbe) {
@@ -101,23 +108,24 @@ TEST(SimLock, ReleaseGrantsEarliestNextProbe) {
   SimCpu& a = h.sched.add_cpu();
   SimCpu& b = h.sched.add_cpu();
   SimCpu& c = h.sched.add_cpu();
-  SimLock lock;
+  SpinLock lock;
   std::vector<int> order;
-  auto holder = [&]() -> Proc {
-    co_await h.sched.acquire(a, lock, nullptr, nullptr);
-    co_await h.sched.spend(a, 50);
-    h.sched.release(lock, a.now);
+  h.sched.start(a, [&] {
+    lock.lock();
+    h.sched.spend(50);
+    lock.unlock();
+  });
+  auto waiter = [&](int id, VTime arrive) {
+    return [&, id, arrive] {
+      h.sched.spend(arrive);
+      lock.lock();
+      order.push_back(id);
+      h.sched.spend(5);
+      lock.unlock();
+    };
   };
-  auto waiter = [&](SimCpu& cpu, int id, VTime arrive) -> Proc {
-    co_await h.sched.spend(cpu, arrive);
-    co_await h.sched.acquire(cpu, lock, nullptr, nullptr);
-    order.push_back(id);
-    co_await h.sched.spend(cpu, 5);
-    h.sched.release(lock, cpu.now);
-  };
-  h.sched.start(a, holder());
-  h.sched.start(b, waiter(b, 2, 30));  // arrives second
-  h.sched.start(c, waiter(c, 1, 10));  // arrives first
+  h.sched.start(b, waiter(2, 30));  // arrives second
+  h.sched.start(c, waiter(1, 10));  // arrives first
   h.sched.run();
   ASSERT_EQ(order.size(), 2u);
   // The earlier arrival's spin probe lands first.
@@ -132,42 +140,76 @@ TEST(SimSleep, WakeOneResumesFifoWithLatency) {
   SimCpu& waker = h.sched.add_cpu();
   SleepList list;
   std::vector<int> order;
-  auto sleeper = [&](SimCpu& cpu, int id) -> Proc {
-    co_await h.sched.sleep(cpu, list);
-    order.push_back(id);
+  auto sleeper = [&](int id) {
+    return [&, id] {
+      h.sched.sleep(list);
+      order.push_back(id);
+    };
   };
-  auto wake = [&]() -> Proc {
-    co_await h.sched.spend(waker, 100);
+  h.sched.start(a, sleeper(1));
+  h.sched.start(b, sleeper(2));
+  h.sched.start(waker, [&] {
+    h.sched.spend(100);
     h.sched.wake_one(list, waker.now);
-    co_await h.sched.spend(waker, 50);
+    h.sched.spend(50);
     h.sched.wake_one(list, waker.now);
-  };
-  h.sched.start(a, sleeper(a, 1));
-  h.sched.start(b, sleeper(b, 2));
-  h.sched.start(waker, wake());
+  });
   h.sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(a.now, 100 + h.cost.wake_latency);
   EXPECT_EQ(b.now, 150 + h.cost.wake_latency);
 }
 
-TEST(SimSubTask, ChainsAndReturnsValues) {
+// An ordinary call chain can block at any depth and still return its
+// values.
+TEST(SimFiber, NestedCallsReturnValuesAndShareTheClock) {
   Harness h;
   SimCpu& a = h.sched.add_cpu();
-  auto inner = [&](int x) -> SubTask<int> {
-    co_await h.sched.spend(a, 10);
-    co_return x * 2;
+  auto inner = [&](int x) {
+    h.sched.spend(10);
+    return x * 2;
   };
   int result = 0;
-  auto outer = [&]() -> Proc {
-    const int v1 = co_await inner(21);
-    const int v2 = co_await inner(v1);
-    result = v2;
-  };
-  h.sched.start(a, outer());
+  h.sched.start(a, [&] { result = inner(inner(21)); });
   h.sched.run();
   EXPECT_EQ(result, 84);
   EXPECT_EQ(a.now, 20u);
+}
+
+TEST(SimMachine, InstalledOnlyWhileRunning) {
+  Harness h;
+  SimCpu& a = h.sched.add_cpu();
+  match::Machine* inside = nullptr;
+  h.sched.start(a, [&] {
+    inside = match::machine();
+    match::charge(Cost::TaskDispatch);
+  });
+  EXPECT_EQ(match::machine(), nullptr);
+  h.sched.run();
+  EXPECT_EQ(match::machine(), nullptr);
+  EXPECT_EQ(inside, &h.sched);
+  EXPECT_EQ(a.now, h.cost.task_dispatch);
+}
+
+TEST(SimMachine, PublicationWakesOneSleeperPerTask) {
+  Harness h;
+  SleepList idle;
+  h.sched.wake_on_publish(&idle, /*broadcast=*/false);
+  std::vector<int> woken;
+  for (int id = 0; id < 3; ++id)
+    h.sched.start(h.sched.add_cpu(), [&, id] {
+      h.sched.sleep(idle);
+      woken.push_back(id);
+    });
+  SimCpu& pusher = h.sched.add_cpu();
+  h.sched.start(pusher, [&] {
+    h.sched.charge(Cost::DequePublish, 2);  // two tasks in one batch
+    EXPECT_EQ(h.sched.publications(), 1u);
+  });
+  h.sched.run();
+  EXPECT_EQ(woken, (std::vector<int>{0, 1}));
+  EXPECT_EQ(idle.sleepers.size(), 1u);
+  EXPECT_EQ(pusher.now, h.cost.deque_publish + 2 * h.cost.deque_task_copy);
 }
 
 TEST(SimCostModel, SecondsConversion) {

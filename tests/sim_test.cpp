@@ -129,9 +129,9 @@ TEST_F(SimTest, MrswReducesLineContentionOnCrossProducts) {
 
 TEST_F(SimTest, TaskCountReturnsToZeroEveryPhase) {
   // Implicitly validated by termination: if TaskCount failed to reach zero
-  // the control coroutine would sleep forever and the scheduler would run
-  // out of events with sleepers parked — which would hang or produce an
-  // empty trace. A completed, non-empty trace is the observable.
+  // the control CPU would sleep forever and the scheduler would run out of
+  // events with sleepers parked — run() would throw. A completed,
+  // non-empty trace is the observable.
   const SimOut s = run_sim(w_, program_, 7, 4);
   EXPECT_FALSE(s.trace.empty());
   EXPECT_GT(s.stats.tasks_executed, 0u);
@@ -168,6 +168,26 @@ TEST_F(SimTest, StealHasFewerContendedProbesThanCentralOneAtEightProcs) {
   };
   EXPECT_LT(contended(steal.stats), contended(central1.stats));
   EXPECT_EQ(steal.trace, central1.trace);
+}
+
+// The simulator runs the threads' executor, so under Steal a task's last
+// emission is its continuation there too: each terminal below runs on its
+// root's endpoint and is never published or popped. A change then costs
+// its root's push and its steal, 2 acquisitions, not the 4 of a terminal
+// that is published and popped as well.
+TEST_F(SimTest, StealRunsContinuationsLikeThreads) {
+  auto program = ops5::Program::from_source(R"(
+(literalize item n)
+(p consume (item ^n <x>) --> (remove 1))
+)");
+  EngineOptions opt;
+  opt.match_processes = 3;
+  opt.scheduler = match::SchedulerKind::Steal;
+  SimEngine eng(program, opt);
+  for (int i = 0; i < 6; ++i) eng.make("(item ^n " + std::to_string(i) + ")");
+  const MatchStats& m = eng.run().stats.match;
+  ASSERT_EQ(m.wme_changes, 12u);  // six makes, six removes
+  EXPECT_LT(m.queue_acquisitions, 3 * m.wme_changes);
 }
 
 TEST(SimCost, VirtualSecondsFollowCostModel) {

@@ -3,34 +3,24 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 
-Four row schemas are understood, auto-detected from CURRENT:
+The baseline declares how it gates, in a top-level `gate` block:
 
-  - shard sweeps (`shard_compare`): rows keyed by the composite
-    (`workload`, `transport`, `shards`, `keyless`, `overlap`), metric
-    `sessions_per_sec` (virtual, interconnect-priced — deterministic),
-    higher is better. Baselines predating the keyless/overlap matrix
-    lack those fields; they default to `owner`/`off`, the exact
-    configuration those old rows measured, so old baselines keep gating
-    the matching rows of a new dump;
-  - lock-discipline sweeps (`lock_compare`): rows keyed by the composite
-    (`workload`, `scheme`, `workers`), metric `ns_per_task`, lower is
-    better;
-  - token-depth sweeps (`micro_match --sweep`): rows keyed by `depth`,
-    metric `ns_per_task`, lower is better;
-  - multi-world serving (`serve_throughput --worlds`): rows keyed by
-    `worlds`, metric `sessions_per_sec`, higher is better.
+  "gate": {"key": ["workload", "scheme", "workers"],
+           "metric": "ns_per_task", "better": "lower",
+           "defaults": {"keyless": "owner"}}
 
-The shard schema must stay listed before the worlds schema: BenchJson
-stamps a `worlds` field into every row, so shard rows would otherwise
-collapse onto the single `worlds` key.
+`key` lists the fields that identify a row, `metric` the number compared,
+`better` whether lower or higher is better, and the optional `defaults`
+give key fields that rows written before the field existed lack (in
+either file). A re-recorded baseline must carry its gate block over; a
+baseline without one is an error.
 
 Rows are matched key-for-key; the check fails if any matched row is more
 than `tolerance` worse than baseline (slower for ns_per_task, fewer
 sessions/sec for throughput). Keys present in only one file are reported
 but do not fail the gate (sweep shapes may grow over time). A baseline
-whose rows predate the current schema entirely (e.g. a pre-worlds
-serve_throughput dump) is skipped with a note instead of failing —
-regenerate the baseline to re-arm the gate.
+with no rows for its own key and metric is skipped with a note instead
+of failing — regenerate the baseline to re-arm the gate.
 
 The default tolerance is 0.10 (the CI gate: >10% regression fails);
 override with --tolerance or the PSME_BENCH_TOLERANCE env var. The
@@ -43,18 +33,6 @@ import argparse
 import json
 import os
 import sys
-
-# (key field or tuple of key fields, metric field, True if higher is
-# better, per-field defaults for rows written before the field existed)
-# Order matters: composite schemas come before the single-key ones they
-# would otherwise be shadowed by (every row carries a stamped `worlds`).
-SCHEMAS = [
-    (("workload", "transport", "shards", "keyless", "overlap"),
-     "sessions_per_sec", True, {"keyless": "owner", "overlap": "off"}),
-    (("workload", "scheme", "workers"), "ns_per_task", False, {}),
-    ("worlds", "sessions_per_sec", True, {}),
-    ("depth", "ns_per_task", False, {}),
-]
 
 
 def row_key(row, field, defaults):
@@ -71,30 +49,20 @@ def load_doc(path):
     return doc
 
 
-def extract_rows(doc, key, metric, defaults=None):
-    defaults = defaults or {}
+def extract_rows(doc, fields, metric, defaults):
     rows = {}
-    fields = key if isinstance(key, tuple) else (key,)
     for row in doc.get("results", []):
         if metric not in row or not all(
             f in row or f in defaults for f in fields
         ):
             continue
         k = tuple(row_key(row, f, defaults) for f in fields)
-        rows[k if isinstance(key, tuple) else k[0]] = float(row[metric])
+        rows[k if len(fields) > 1 else k[0]] = float(row[metric])
     return rows
 
 
 def fmt_key(k):
     return "/".join(str(c) for c in k) if isinstance(k, tuple) else str(k)
-
-
-def detect_schema(doc, path):
-    for key, metric, higher, defaults in SCHEMAS:
-        rows = extract_rows(doc, key, metric, defaults)
-        if rows:
-            return key, metric, higher, defaults, rows
-    sys.exit(f"{path}: no rows matching any known bench schema")
 
 
 def main():
@@ -109,18 +77,27 @@ def main():
     )
     args = ap.parse_args()
 
-    key, metric, higher, defaults, current = detect_schema(
-        load_doc(args.current), args.current)
-    baseline = extract_rows(load_doc(args.baseline), key, metric, defaults)
+    base_doc = load_doc(args.baseline)
+    gate = base_doc.get("gate")
+    if not gate:
+        sys.exit(f"{args.baseline}: no gate block (see --help)")
+    fields = tuple(gate["key"])
+    metric = gate["metric"]
+    higher = gate["better"] == "higher"
+    defaults = gate.get("defaults", {})
+    baseline = extract_rows(base_doc, fields, metric, defaults)
     if not baseline:
         print(
-            f"NOTE: {args.baseline} has no ({key}, {metric}) rows — "
+            f"NOTE: {args.baseline} has no ({fields}, {metric}) rows — "
             f"skipping the gate. Regenerate the baseline to re-arm it."
         )
         return 0
+    current = extract_rows(load_doc(args.current), fields, metric, defaults)
+    if not current:
+        sys.exit(f"{args.current}: no ({fields}, {metric}) rows")
 
     failed = False
-    key_name = "/".join(key) if isinstance(key, tuple) else key
+    key_name = "/".join(fields)
     width = max(len(key_name), 6,
                 *(len(fmt_key(k)) for k in set(current) | set(baseline)))
     print(f"{key_name:>{width}} {'baseline':>12} {'current':>12} {'ratio':>8}"
