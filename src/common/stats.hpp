@@ -40,11 +40,6 @@ struct MatchStats {
   std::uint64_t emissions = 0;         // tokens scheduled by join nodes
   std::uint64_t conjugate_hits = 0;    // +/- pairs annihilated early
   std::uint64_t requeues = 0;          // MRSW opposite-side put-backs
-  // Seqlock discipline (match/line_locks.hpp): speculative probes
-  // discarded by a torn sequence, and activations that exhausted the retry
-  // budget and fell back to a fully locked run.
-  std::uint64_t seq_retries = 0;
-  std::uint64_t seq_fallbacks = 0;
   // Hash-line collisions: entries examined during bucket scans whose
   // (node id, key hash) prefilter did not match — unrelated residents of
   // the same line (hash backend only).
@@ -91,9 +86,6 @@ struct MatchStats {
   // Physical bucket walk lengths (fast slot + overflow chain, prefilter
   // misses included): psme.match.bucket_chain_len.
   obs::HistogramShard* bucket_chain_hist = nullptr;
-  // Seqlock retries per join task (0 == first attempt committed):
-  // psme.match.seq_retries_per_task.
-  obs::HistogramShard* seq_retry_hist = nullptr;
 
   void merge(const MatchStats& o) {
     wme_changes += o.wme_changes;
@@ -102,8 +94,6 @@ struct MatchStats {
     emissions += o.emissions;
     conjugate_hits += o.conjugate_hits;
     requeues += o.requeues;
-    seq_retries += o.seq_retries;
-    seq_fallbacks += o.seq_fallbacks;
     line_collisions += o.line_collisions;
     for (int s = 0; s < 2; ++s) {
       opp_examined[s] += o.opp_examined[s];

@@ -1,7 +1,5 @@
 #include "match/kernel.hpp"
 
-#include <cassert>
-
 #include "match/vm.hpp"
 #include "obs/metrics.hpp"
 
@@ -237,20 +235,16 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
     }
     // Insert: claim the bucket's inline fast slot when free (no heap
     // Entry, no extra cache line), else push onto the overflow chain.
-    // Publication order matters under Seqlock: the payload is stored
-    // before the release store that makes the entry reachable (`live` for
-    // the fast slot, `head` for a chain entry), so a lock-free probe that
-    // observes the entry also observes its fields (memory.hpp).
     Entry* e;
     if (!b.own->fast.live) {
       e = &b.own->fast;
       e->next = nullptr;
       e->neg_count.store(0, std::memory_order_relaxed);
-      seq_store(e->token, task.token);
-      seq_store(e->wme, task.wme);
-      seq_store(e->hash, up.hash);
-      seq_store(e->node_id, j->id);
-      seq_store(e->live, std::uint8_t{1});
+      e->token = task.token;
+      e->wme = task.wme;
+      e->hash = up.hash;
+      e->node_id = j->id;
+      e->live = 1;
     } else {
       e = ctx.arena->make_entry();
       e->token = task.token;
@@ -258,7 +252,7 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
       e->hash = up.hash;
       e->node_id = j->id;
       e->next = b.own->head;
-      seq_store(b.own->head, e);
+      b.own->head = e;
     }
     up.outcome = MemUpdate::Outcome::Inserted;
     up.entry = e;
@@ -275,7 +269,7 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
     ++examined;
     if (entry_of_node(ctx, &b.own->fast, j, up.hash) &&
         same_payload(task, &b.own->fast)) {
-      seq_store(b.own->fast.live, std::uint8_t{0});
+      b.own->fast.live = 0;
       found = &b.own->fast;
     }
   }
@@ -284,13 +278,10 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
     for (Entry* e = b.own->head; e; e = e->next) {
       ++examined;
       if (entry_of_node(ctx, e, j, up.hash) && same_payload(task, e)) {
-        // Unlink with a release store: a concurrent speculative probe may
-        // be walking this chain; it sees either the old or the new link,
-        // both well-formed (the unlinked entry is never freed mid-run).
         if (prev) {
-          seq_store(prev->next, e->next);
+          prev->next = e->next;
         } else {
-          seq_store(b.own->head, e->next);
+          b.own->head = e->next;
         }
         found = e;
         break;
@@ -432,60 +423,6 @@ void process_join(MatchContext& ctx, WorldContext& world, const Task& task,
                   const std::uint64_t* hash_hint) {
   const MemUpdate up = process_join_update(ctx, world, task, cost, hash_hint);
   process_join_probe(ctx, world, task, up, out, cost);
-}
-
-void speculate_join_probe(MatchContext& ctx, WorldContext& world,
-                          const Task& task, std::uint64_t hash,
-                          std::vector<Task>& out, SpecProbe& spec) {
-  const rete::JoinNode* j = task.join;
-  assert(ctx.strategy == MemoryStrategy::Hash);
-  assert(j->kind == rete::JoinKind::Positive);
-  const Side side = task.side();
-  Bucket& opp = side == Side::Left ? world.right_table->bucket(hash)
-                                   : world.left_table->bucket(hash);
-  VmCounts vc;
-  VmCounts* vcp = ctx.code && j->vm_entry != rete::kNoProgram ? &vc : nullptr;
-  // Snapshot walk, fast slot first then the chain, all through seq_load:
-  // every pointer is arena-backed and never freed mid-run, so a torn view
-  // yields stale-but-safe entries whose results commit-time validation
-  // discards. The null checks can only fire on a tear (published entries
-  // always carry their side's payload) — cheap insurance, never semantics.
-  Entry* e = seq_load(opp.fast.live) ? &opp.fast : seq_load(opp.head);
-  ActivationCost& cost = spec.cost;
-  while (e) {
-    ++cost.opp_examined;
-    if (seq_load(e->node_id) == j->id && seq_load(e->hash) == hash) {
-      const Token* left = side == Side::Left ? task.token : seq_load(e->token);
-      const Wme* right = side == Side::Left ? seq_load(e->wme) : task.wme;
-      if (left && right && join_tests_pass(ctx, j, left, right, vcp)) {
-        const Token* extended = ctx.arena->make_token(left, right);
-        emit_to_successors(ctx, task, j, extended, task.sign, out);
-        ++cost.emissions;
-        cost.emitted_wmes += extended->len;
-      }
-    } else {
-      ++spec.collisions;
-    }
-    e = e == &opp.fast ? seq_load(opp.head) : seq_load(e->next);
-  }
-  if (vcp) {
-    cost.vm_used = true;
-    cost.vm_loads = vc.loads;
-    cost.vm_tests = vc.tests;
-    cost.vm_branches = vc.branches;
-  }
-}
-
-void commit_spec_probe(MatchContext& ctx, const Task& task,
-                       const SpecProbe& spec) {
-  const ActivationCost& cost = spec.cost;
-  ctx.stats->line_collisions += spec.collisions;
-  count_opp_examined(*ctx.stats, side_index(task.side()), cost.opp_examined);
-  count_bucket_chain(*ctx.stats, cost.opp_examined);
-  ctx.stats->emissions += cost.emissions;
-  ctx.stats->vm_loads += cost.vm_loads;
-  ctx.stats->vm_tests += cost.vm_tests;
-  ctx.stats->vm_branches += cost.vm_branches;
 }
 
 void process_terminal(MatchContext& ctx, WorldContext& world,

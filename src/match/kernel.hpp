@@ -18,10 +18,7 @@
 //    touch within its world; the driver must hold that line before calling
 //    process_join (simple scheme), or hold the line in side mode + the
 //    modification lock around the memory-update phase (MRSW scheme, via
-//    process_join_update / process_join_probe), or run the optimistic
-//    Seqlock protocol (speculate_join_probe with no lock held, then
-//    LineLocks::try_writer_commit + process_join_update +
-//    commit_spec_probe under the writer lock — see SpecProbe below).
+//    process_join_update / process_join_probe).
 //    Batched drivers must fold Task::world into the lock index — tasks
 //    from different worlds never share memory, but may share a lock
 //    (false sharing is allowed; false non-sharing is not).
@@ -139,43 +136,6 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
                         const Task& task, const MemUpdate& update,
                         std::vector<Task>& out,
                         ActivationCost* cost = nullptr);
-
-// --- Speculative probe for the Seqlock locking scheme ---------------------
-//
-// Positive joins only, hash backend only. The driver snapshots the line's
-// sequence (LineLocks::seq_begin), runs speculate_join_probe with NO lock
-// held — emissions are appended to `out`, stats deferred into `spec` so a
-// discarded attempt counts nothing — then validates-and-locks with
-// LineLocks::try_writer_commit. On success the line is provably unchanged
-// since the snapshot, so the speculative probe result equals a probe at the
-// serialization point; the driver runs process_join_update (the real
-// mutation, stats counted once) under the lock and flushes `spec` via
-// commit_spec_probe iff the outcome warrants a probe (Inserted / Removed —
-// Annihilated and ParkedDelete probe nothing, so the speculative emissions
-// are dropped). On a torn sequence the driver clears `out` and retries;
-// speculatively built tokens stay behind in the worker's arena, which is
-// bump-allocated and reclaimed at end of run.
-//
-// Why the update happens under the lock and the probe is validated rather
-// than simply rerun: a naive seqlock (lock the update, probe lock-free
-// afterwards) double-emits when two inserts race on one line — both
-// updates land, then both probes see the other's entry. Validation under
-// the writer lock makes {probe, update} atomic at the commit point.
-//
-// Negative joins never speculate: a right-negative activation mutates
-// opposite-side entries (neg_count), which the protocol does not cover.
-// Drivers run them fully under LineLocks::lock_writer — the paper's maxim
-// again: don't slow the common case to speed a rare one.
-struct SpecProbe {
-  ActivationCost cost;           // opp_examined, emissions (pairs), VM ops
-  std::uint64_t collisions = 0;  // prefilter misses, deferred
-};
-void speculate_join_probe(MatchContext& ctx, WorldContext& world,
-                          const Task& task, std::uint64_t hash,
-                          std::vector<Task>& out, SpecProbe& spec);
-// Flushes a validated speculation's deferred stats into ctx.stats.
-void commit_spec_probe(MatchContext& ctx, const Task& task,
-                       const SpecProbe& spec);
 
 // Dispatches a non-root task with both phases under the caller's lock.
 inline void process_task(MatchContext& ctx, WorldContext& world,

@@ -2,7 +2,7 @@
 //
 // A line is the pair of same-index buckets in the left and right token hash
 // tables plus their extra-deletes lists; one node activation touches exactly
-// one line. Two schemes from the paper, plus a modern third:
+// one line. The two schemes of the paper:
 //
 //  - Simple: one exclusive spin lock per line. Cheap, but several
 //    activations hitting the same line serialize completely.
@@ -15,27 +15,20 @@
 //    the opposite side is excluded by the flag). An activation finding the
 //    line held by the other side puts its task back on the queue.
 //
-//  - Seqlock: opposite-memory probes never take the line lock at all. Each
-//    line carries a sequence counter; writers bump it to odd around the
-//    mutation while holding the modification lock, and readers run the
-//    probe speculatively against a snapshot, then *validate* the sequence
-//    at commit time — under the modification lock — before applying their
-//    own memory update. A torn sequence discards the speculative probe and
-//    retries; bounded retries fall back to a fully locked activation.
-//    Note the validation happens under the lock: a naive seqlock (update
-//    under lock, then probe lock-free) is unsound for join semantics —
-//    two concurrent inserts on one line could both probe after both
-//    updates and emit the same pair twice. See docs/memory-layout.md.
-//
 // Negative-node activations take the line exclusively even under Mrsw
-// (flag value Exclusive), and take the writer lock for their whole
-// activation under Seqlock: a right activation of a negative node mutates
-// match counts on *left* entries, which neither the side flag nor the
-// speculation protocol protects. This is the paper's own maxim — don't
-// slow the common case to speed a rare one.
+// (flag value Exclusive): a right activation of a negative node mutates
+// match counts on *left* entries, which the side flag does not protect.
+// This is the paper's own maxim — don't slow the common case to speed a
+// rare one.
+//
+// A third scheme, optimistic sequence locks (lock-free opposite-memory
+// probes validated against a per-line sequence counter at commit), was
+// removed. Priced on the simulator's real protocol it lost to Simple on
+// every measured row: 8-10% more per task at 1 worker, and 30622 vs 22443
+// ns/task on Rubik at 16 workers. On real threads (1+3 on a
+// 4-hardware-thread host) it was no faster: rubik's median match time was
+// 28.1 ms against Simple's 15.5. See docs/memory-layout.md.
 #pragma once
-
-#include <atomic>
 
 #include <cstdint>
 #include <memory>
@@ -46,11 +39,7 @@
 
 namespace psme::match {
 
-enum class LockScheme : std::uint8_t { Simple, Mrsw, Seqlock };
-
-// Bounded optimism: after this many torn-sequence retries a Seqlock
-// activation falls back to a fully locked run (counted in seq_fallbacks).
-inline constexpr int kSeqlockMaxRetries = 8;
+enum class LockScheme : std::uint8_t { Simple, Mrsw };
 
 class LineLocks {
  public:
@@ -73,37 +62,16 @@ class LineLocks {
   void lock_modification(std::uint32_t line, Side side, MatchStats& stats);
   void unlock_modification(std::uint32_t line);
 
-  // --- Seqlock scheme -----------------------------------------------------
-  // Start a speculative read section: spins past an in-flight writer and
-  // returns an even sequence value to validate against.
-  std::uint32_t seq_begin(std::uint32_t line) const;
-  // Pure read-side validation (tests / diagnostics): true iff the line's
-  // sequence still equals `s0` at this instant. try_writer_commit is the
-  // form the engines use — it validates *under* the modification lock so
-  // the answer cannot go stale.
-  bool seq_validate(std::uint32_t line, std::uint32_t s0) const;
-  // Acquire the modification lock and validate `s0`. On success the line's
-  // state is provably unchanged since seq_begin returned `s0`; the sequence
-  // is left odd and the caller owns the lock until unlock_writer. On a torn
-  // sequence the lock is released and false returned (the acquisition is
-  // still counted in the line-probe stats — it really happened).
-  bool try_writer_commit(std::uint32_t line, std::uint32_t s0, Side side,
-                         MatchStats& stats);
-  // Unconditional writer entry (negative nodes, retry-exhaustion fallback).
-  void lock_writer(std::uint32_t line, Side side, MatchStats& stats);
-  void unlock_writer(std::uint32_t line);
-
  private:
   enum Flag : std::uint8_t { kUnused = 0, kLeft, kRight, kExclusive };
 
-  // One cache line per lock line, like the data lines they guard. 21 bytes
-  // used (3 x 4-byte TTAS locks, the 4-byte sequence, the 4-byte user
-  // count, the 1-byte side flag), the rest padding.
+  // One cache line per lock line, like the data lines they guard. 17 bytes
+  // used (3 x 4-byte TTAS locks, the 4-byte user count, the 1-byte side
+  // flag), the rest padding.
   struct alignas(64) Line {
     SpinLock simple;                  // Simple scheme
     SpinLock guard;                   // Mrsw lock 1 (flag + counter)
-    SpinLock modification;            // Mrsw lock 2 / Seqlock writer lock
-    std::atomic<std::uint32_t> seq{0};  // Seqlock sequence; odd = writing
+    SpinLock modification;            // Mrsw lock 2
     std::uint32_t users = 0;
     std::uint8_t flag = kUnused;
   };

@@ -33,7 +33,7 @@ class Machine {
     // Work stealing: DequePublish is one batch of n tasks; Overflow moves
     // n tasks to or from a deque's overflow list.
     DequePublish, DequePop, StealProbe, StealCas, Overflow,
-    LockAcquire, MrswEnter, MrswModification, SeqRead, SeqWrite,  // lines
+    LockAcquire, MrswEnter, MrswModification,  // lines
     HtsPush, HtsPop,  // the simulator's hardware task scheduler
   };
   // Activation phases, priced from what the kernel reports they did.

@@ -73,34 +73,6 @@ inline Entry* bucket_next(Bucket& b, Entry* e) {
   return e == &b.fast ? b.head : e->next;
 }
 
-// Publication ordering for the Seqlock discipline. Under Seqlock,
-// opposite-memory probes read a bucket with NO lock held, concurrently with
-// a writer mutating it; the probe result is validated against the line's
-// sequence counter before it is used (line_locks.hpp). For that to be
-// merely *wasted work* on a tear — never undefined behavior — every
-// reader-visible bucket field obeys a single-publication pattern:
-//
-//  - writers store through seq_store (release): an inserted entry's payload
-//    (token/wme/hash/node_id) is published before the store that makes it
-//    reachable (`fast.live = 1` or `head = e`), and a removed fast slot only
-//    clears `live`, leaving the payload readable;
-//  - chain entries come from a BumpArena and are never freed mid-run, and
-//    an unlinked entry keeps its fields, so a stale pointer read by a torn
-//    probe still dereferences to a well-formed (if outdated) entry;
-//  - speculative probes read through seq_load (acquire), so a probe that
-//    observes a published pointer also observes the payload behind it.
-//
-// On x86 both compile to plain MOVs; the locked schemes pay nothing.
-template <typename T>
-inline T seq_load(const T& field) {
-  return std::atomic_ref<T>(const_cast<T&>(field))
-      .load(std::memory_order_acquire);
-}
-template <typename T>
-inline void seq_store(T& field, T value) {
-  std::atomic_ref<T>(field).store(value, std::memory_order_release);
-}
-
 // One side's global hash table (vs2 / parallel backend). A non-power-of-two
 // bucket count would silently map hashes onto a subset of buckets through
 // `mask_`, so the count is rounded up to the next power of two.

@@ -103,57 +103,6 @@ void execute_task(MatchContext& ctx, WorldContext& world,
           commit();
           locks.unlock_exclusive(line);
           break;
-        case LockScheme::Seqlock: {
-          // Speculative probe, validated under the writer lock (kernel.hpp,
-          // SpecProbe); negative nodes run fully locked. Another world's
-          // commit on a shared lock line can force a retry: a false
-          // conflict, never a missed one.
-          auto writer_join = [&] {
-            locks.lock_writer(line, side, stats);
-            locked_join(hash);
-            commit();
-            locks.unlock_writer(line);
-          };
-          if (negative) {
-            writer_join();
-            break;
-          }
-          std::uint32_t retries = 0;
-          bool committed = false;
-          while (!committed && retries <= kSeqlockMaxRetries) {
-            emit_buf.clear();
-            const std::uint32_t s0 = locks.seq_begin(line);
-            SpecProbe spec;
-            speculate_join_probe(ctx, world, task, hash, emit_buf, spec);
-            if (m) m->charge(Machine::Phase::JoinProbe, task, spec.cost);
-            if (!locks.try_writer_commit(line, s0, side, stats)) {
-              ++retries;
-              continue;
-            }
-            const MemUpdate update =
-                process_join_update(ctx, world, task, uc, &hash);
-            if (m) m->charge(Machine::Phase::JoinUpdate, task, update_cost);
-            if (update.outcome == MemUpdate::Outcome::Inserted ||
-                update.outcome == MemUpdate::Outcome::Removed) {
-              commit_spec_probe(ctx, task, spec);
-            } else {
-              emit_buf.clear();  // annihilated/parked: no probe happens
-            }
-            commit();
-            locks.unlock_writer(line);
-            committed = true;
-          }
-          if (!committed) {
-            // Retry budget exhausted on a pathologically hot line: run the
-            // whole activation under the writer lock, like Simple would.
-            stats.seq_fallbacks += 1;
-            emit_buf.clear();
-            writer_join();
-          }
-          stats.seq_retries += retries;
-          if (stats.seq_retry_hist) stats.seq_retry_hist->record(retries);
-          break;
-        }
         case LockScheme::Mrsw: {
           if (negative) {
             if (!locks.try_enter_exclusive(line, side, stats)) {

@@ -50,8 +50,8 @@ struct PoolWorld {
   std::uint32_t lock_salt = 0;
 };
 
-// Runs one popped task — Root, Terminal, or a join under the Simple,
-// Seqlock or MRSW line-lock protocol — then publishes its emissions through
+// Runs one popped task — Root, Terminal, or a join under the Simple or
+// MRSW line-lock protocol — then publishes its emissions through
 // scheduler endpoint `ep` and counts it done. When the scheduler allows
 // continuations, all emissions but the last are published and the last
 // runs next here, on the popped task's TaskCount slot, and so on down the

@@ -61,12 +61,6 @@ void Observability::attach_worker(MatchStats& stats, int worker) {
                         "bucket entries walked per scan (inline fast slot "
                         "+ overflow chain, hash-prefilter misses included)"))
            .shard(worker);
-  stats.seq_retry_hist =
-      &registry
-           .histogram(h("psme.match.seq_retries_per_task", "retries",
-                        "speculative probe attempts discarded per join task "
-                        "(0 = first attempt committed; Seqlock scheme only)"))
-           .shard(worker);
 }
 
 void Observability::export_run_stats(const RunStats& stats,
@@ -98,16 +92,6 @@ void Observability::export_run_stats(const RunStats& stats,
                  "MRSW opposite-side conflicts put back on the queue",
                  "4-8"))
       .add(0, m.requeues);
-  registry
-      .counter(c("psme.match.seq_retries", "attempts",
-                 "speculative probes discarded by a torn line sequence "
-                 "(Seqlock scheme only)"))
-      .add(0, m.seq_retries);
-  registry
-      .counter(c("psme.match.seq_fallbacks", "activations",
-                 "join activations that exhausted the Seqlock retry budget "
-                 "and ran fully locked"))
-      .add(0, m.seq_fallbacks);
   registry
       .counter(c("psme.match.line_collisions", "entries",
                  "bucket entries skipped because their (node, key) hash "
@@ -258,7 +242,7 @@ void Observability::export_config(int match_processes, int task_queues,
       .set(task_queues);
   registry
       .gauge(g("psme.config.lock_scheme", "enum",
-               "hash-line lock scheme: 0 simple, 1 MRSW, 2 seqlock "
+               "hash-line lock scheme: 0 simple, 1 MRSW "
                "(match::LockScheme codes)"))
       .set(lock_scheme);
   registry

@@ -38,8 +38,8 @@ struct Observability {
   static void export_run_stats(const RunStats& stats, Registry& registry);
   // Engine-configuration gauges (worker/queue counts, lock scheme,
   // scheduler discipline). `lock_scheme` is the integer code of
-  // match::LockScheme (0 simple, 1 MRSW, 2 seqlock) — an int rather than
-  // the enum so obs does not depend on match headers.
+  // match::LockScheme (0 simple, 1 MRSW) — an int rather than the enum so
+  // obs does not depend on match headers.
   static void export_config(int match_processes, int task_queues,
                             int lock_scheme, bool work_stealing,
                             Registry& registry);

@@ -90,7 +90,7 @@ EngineOptions options_from(const RunSpec& spec) {
   if (!pick(spec.scheduler, {"central", "steal"}, &sched))
     throw std::invalid_argument("rr: unknown scheduler: " + spec.scheduler);
   o.scheduler = sched;
-  if (!pick(spec.lock_scheme, {"simple", "mrsw", "seqlock"}, &o.lock_scheme))
+  if (!pick(spec.lock_scheme, {"simple", "mrsw"}, &o.lock_scheme))
     throw std::invalid_argument("rr: unknown lock scheme: " +
                                 spec.lock_scheme);
   o.match_processes = spec.mode == "seq" ? 0 : spec.match_processes;
@@ -162,8 +162,7 @@ ReplayOutcome replay_run(const ReplayLog& log, obs::Observability* obs) {
   if (!pick(log.header.scheduler, {"central", "steal"}, &sched))
     throw std::runtime_error("replay: bad scheduler in log header");
   options.scheduler = sched;
-  if (!pick(log.header.lock_scheme, {"simple", "mrsw", "seqlock"},
-            &options.lock_scheme))
+  if (!pick(log.header.lock_scheme, {"simple", "mrsw"}, &options.lock_scheme))
     throw std::runtime_error("replay: bad lock scheme in log header");
   options.match_processes = log.header.match_processes;
   options.task_queues = log.header.task_queues;
@@ -288,9 +287,9 @@ RunSpec fuzz_spec(std::uint64_t seed, const FuzzOptions& opt) {
   spec.workload = workloads::random_program(seed, params);
   spec.mode = opt.mode;
   spec.scheduler = opt.scheduler;
-  // Rotate the fuzz corpus across both contended lock disciplines so the
-  // fault plans exercise MRSW requeues and Seqlock retries alike.
-  spec.lock_scheme = seed % 2 == 0 ? "seqlock" : "mrsw";
+  // Rotate the fuzz corpus across both lock disciplines so the fault plans
+  // exercise the default Simple locks and MRSW requeues alike.
+  spec.lock_scheme = seed % 2 == 0 ? "simple" : "mrsw";
   spec.match_processes = 3;
   spec.task_queues = 2;
   spec.seed = seed;

@@ -49,7 +49,7 @@ struct LogHeader {
   std::vector<std::string> initial_wmes;  // wme literals, admission order
   std::string mode = "threads";           // "seq" | "threads" | "sim"
   std::string scheduler = "central";      // "central" | "steal"
-  std::string lock_scheme = "simple";     // "simple" | "mrsw" | "seqlock"
+  std::string lock_scheme = "simple";     // "simple" | "mrsw"
   std::string strategy = "lex";           // "lex" | "mea"
   int match_processes = 0;
   int task_queues = 1;

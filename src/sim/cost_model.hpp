@@ -64,11 +64,6 @@ struct CostModel {
   VTime emit_per_wme = 2;              // one pointer copy per token wme
   VTime mrsw_enter = 18;               // flag+counter manipulation (lock 1)
   VTime mrsw_modification = 8;         // lock 2 handshake
-  // Seqlock discipline (match/line_locks.hpp): one sequence-word read
-  // (begin or validate) and the writer's odd/even bump. A speculative
-  // probe costs 2*seq_read + the scan, re-paid per torn attempt.
-  VTime seq_read = 4;
-  VTime seq_write = 4;
 
   // Register-bytecode VM (rete/bytecode.hpp, docs/join-bytecode.md):
   // per-op charges used when an activation ran compiled test programs.

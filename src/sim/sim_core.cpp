@@ -341,8 +341,6 @@ void Scheduler::charge(Cost cost, std::size_t n) {
     case Cost::LockAcquire: price = m.lock_acquire; break;
     case Cost::MrswEnter: price = m.mrsw_enter; break;
     case Cost::MrswModification: price = m.mrsw_modification; break;
-    case Cost::SeqRead: price = m.seq_read; break;
-    case Cost::SeqWrite: price = m.seq_write; break;
     case Cost::HtsPush: price = m.hts_op * k; break;
     case Cost::HtsPop: price = m.hts_op; break;
   }

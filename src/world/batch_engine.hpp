@@ -78,9 +78,6 @@ class BatchEngine final : public SessionBackend {
   // to call concurrently for DIFFERENT worlds.
   RunResult run_session(std::uint32_t w) override;
   EngineSnapshot snapshot_session(std::uint32_t w) override {
-    return snapshot_world(w);
-  }
-  EngineSnapshot snapshot_world(std::uint32_t w) const {
     return pool_.world(w).snapshot(*pool_.world(w).cs);
   }
   void reset_session(std::uint32_t w) override {

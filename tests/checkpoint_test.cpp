@@ -147,7 +147,7 @@ TEST(Checkpoint, RestoresAcrossBackends) {
   batch.run_all();
   ASSERT_EQ(batch.world(0).stats.cycles, 10u);
   const serve::Checkpoint ckpt = serve::Checkpoint::deserialize(
-      serve::Checkpoint::capture(program, batch.snapshot_world(0))
+      serve::Checkpoint::capture(program, batch.snapshot_session(0))
           .serialize());
 
   EngineConfig seq = config_for(ExecutionMode::Sequential);

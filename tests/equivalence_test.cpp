@@ -60,8 +60,7 @@ TEST_P(RandomEquivalence, AllEnginesProduceIdenticalTraces) {
   for (const int procs : {1, 3}) {
     for (const int queues : {1, 4}) {
       for (const auto scheme :
-           {match::LockScheme::Simple, match::LockScheme::Mrsw,
-            match::LockScheme::Seqlock}) {
+           {match::LockScheme::Simple, match::LockScheme::Mrsw}) {
         EngineConfig cfg;
         cfg.mode = ExecutionMode::ParallelThreads;
         cfg.options.match_processes = procs;
@@ -80,9 +79,8 @@ TEST_P(RandomEquivalence, AllEnginesProduceIdenticalTraces) {
     cfg.mode = ExecutionMode::SimulatedMultimax;
     cfg.options.match_processes = procs;
     cfg.options.task_queues = procs > 1 ? 4 : 1;
-    cfg.options.lock_scheme = procs == 5    ? match::LockScheme::Mrsw
-                              : procs == 13 ? match::LockScheme::Seqlock
-                                            : match::LockScheme::Simple;
+    cfg.options.lock_scheme =
+        procs == 5 ? match::LockScheme::Mrsw : match::LockScheme::Simple;
     const TraceResult got = run_config(program, w, cfg);
     EXPECT_EQ(got.trace, ref.trace)
         << "simulator diverged, seed " << GetParam() << " procs=" << procs
@@ -91,8 +89,7 @@ TEST_P(RandomEquivalence, AllEnginesProduceIdenticalTraces) {
   // Work-stealing discipline, threaded and simulated.
   for (const int procs : {1, 3}) {
     for (const auto scheme :
-         {match::LockScheme::Simple, match::LockScheme::Mrsw,
-          match::LockScheme::Seqlock}) {
+         {match::LockScheme::Simple, match::LockScheme::Mrsw}) {
       EngineConfig cfg;
       cfg.mode = ExecutionMode::ParallelThreads;
       cfg.options.match_processes = procs;
@@ -110,8 +107,8 @@ TEST_P(RandomEquivalence, AllEnginesProduceIdenticalTraces) {
     cfg.mode = ExecutionMode::SimulatedMultimax;
     cfg.options.match_processes = procs;
     cfg.options.scheduler = match::SchedulerKind::Steal;
-    cfg.options.lock_scheme = procs == 5 ? match::LockScheme::Seqlock
-                                         : match::LockScheme::Simple;
+    cfg.options.lock_scheme =
+        procs == 5 ? match::LockScheme::Mrsw : match::LockScheme::Simple;
     const TraceResult got = run_config(program, w, cfg);
     EXPECT_EQ(got.trace, ref.trace)
         << "simulator(steal) diverged, seed " << GetParam()
@@ -176,25 +173,11 @@ TEST_P(WorkloadEquivalence, EnginesAgree) {
   par.options.lock_scheme = match::LockScheme::Mrsw;
   expect_same(run_mode(par), "threads");
 
-  EngineConfig par_seq;
-  par_seq.mode = ExecutionMode::ParallelThreads;
-  par_seq.options.match_processes = 3;
-  par_seq.options.task_queues = 4;
-  par_seq.options.lock_scheme = match::LockScheme::Seqlock;
-  expect_same(run_mode(par_seq), "threads(seqlock)");
-
   EngineConfig simc;
   simc.mode = ExecutionMode::SimulatedMultimax;
   simc.options.match_processes = 7;
   simc.options.task_queues = 4;
   expect_same(run_mode(simc), "simulator");
-
-  EngineConfig sim_seq;
-  sim_seq.mode = ExecutionMode::SimulatedMultimax;
-  sim_seq.options.match_processes = 7;
-  sim_seq.options.task_queues = 4;
-  sim_seq.options.lock_scheme = match::LockScheme::Seqlock;
-  expect_same(run_mode(sim_seq), "simulator(seqlock)");
 
   // The same workloads under the work-stealing scheduler: the acceptance
   // property is an identical firing trace across every discipline.

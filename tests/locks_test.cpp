@@ -100,38 +100,6 @@ TEST(LineLocks, LinesAreIndependent) {
   locks.leave(1);
 }
 
-TEST(LineLocks, SeqlockBeginIsEvenAndValidates) {
-  LineLocks locks(4, LockScheme::Seqlock);
-  MatchStats stats;
-  const std::uint32_t s0 = locks.seq_begin(2);
-  EXPECT_EQ(s0 % 2, 0u);            // never returns a mid-write sequence
-  EXPECT_TRUE(locks.seq_validate(2, s0));
-  // A full writer pass bumps the sequence by 2: the old snapshot is torn.
-  locks.lock_writer(2, Side::Left, stats);
-  EXPECT_FALSE(locks.seq_validate(2, s0));  // odd while a writer is in
-  locks.unlock_writer(2);
-  EXPECT_FALSE(locks.seq_validate(2, s0));
-  EXPECT_EQ(locks.seq_begin(2), s0 + 2);
-  // Other lines are untouched.
-  EXPECT_TRUE(locks.seq_validate(3, locks.seq_begin(3)));
-}
-
-TEST(LineLocks, SeqlockCommitFailsAfterConcurrentWrite) {
-  LineLocks locks(2, LockScheme::Seqlock);
-  MatchStats stats;
-  const std::uint32_t s0 = locks.seq_begin(0);
-  // A writer slips in between the snapshot and the commit attempt.
-  locks.lock_writer(0, Side::Right, stats);
-  locks.unlock_writer(0);
-  EXPECT_FALSE(locks.try_writer_commit(0, s0, Side::Left, stats));
-  // The failed commit released the modification lock: a fresh snapshot
-  // commits fine, and unlock_writer leaves the sequence even again.
-  const std::uint32_t s1 = locks.seq_begin(0);
-  EXPECT_TRUE(locks.try_writer_commit(0, s1, Side::Left, stats));
-  locks.unlock_writer(0);
-  EXPECT_EQ(locks.seq_begin(0) % 2, 0u);
-}
-
 TEST(LineLocks, MrswModificationLockSerializesWriters) {
   LineLocks locks(2, LockScheme::Mrsw);
   MatchStats stats;

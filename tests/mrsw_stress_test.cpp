@@ -1,6 +1,5 @@
-// Real-thread stress of the MRSW and Seqlock line protocols: same-side
-// concurrency must be allowed, opposite sides excluded, modification
-// serialized, and seqlock readers must never observe a torn snapshot —
+// Real-thread stress of the MRSW line protocol: same-side concurrency
+// must be allowed, opposite sides excluded and modification serialized —
 // verified with invariant-checking worker threads rather than fixed
 // schedules. These run under TSan in CI.
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "match/line_locks.hpp"
-#include "match/memory.hpp"
 
 namespace psme::match {
 namespace {
@@ -89,93 +87,6 @@ TEST(MrswStress, ModificationLockSerializesUnderSharing) {
   EXPECT_FALSE(violation.load());
   EXPECT_EQ(shared_counter,
             static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-// The seqlock guarantee, stated as an invariant: any snapshot that
-// validates saw a consistent view. Writers keep two fields equal under
-// lock_writer/unlock_writer (publishing with the kernel's seq_store);
-// readers snapshot both with seq_load and, when seq_validate accepts the
-// sequence, the two values must match. Torn snapshots are expected — they
-// must simply never validate.
-TEST(SeqlockStress, ValidatedSnapshotsAreNeverTorn) {
-  LineLocks locks(2, LockScheme::Seqlock);
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 4;
-  constexpr int kIters = 4000;
-  struct Shared {
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-  } shared;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> violation{false};
-  std::atomic<std::uint64_t> validated{0};
-
-  auto writer = [&](int id) {
-    MatchStats stats;
-    Rng rng(static_cast<std::uint64_t>(id) + 1);
-    for (int i = 0; i < kIters; ++i) {
-      const std::uint64_t v = rng.next();
-      locks.lock_writer(0, Side::Left, stats);
-      seq_store(shared.a, v);
-      for (int spin = 0; spin < 8; ++spin) SpinLock::cpu_relax();
-      seq_store(shared.b, v);
-      locks.unlock_writer(0);
-    }
-  };
-  auto reader = [&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::uint32_t s0 = locks.seq_begin(0);
-      const std::uint64_t a = seq_load(shared.a);
-      const std::uint64_t b = seq_load(shared.b);
-      if (!locks.seq_validate(0, s0)) continue;  // torn: discard, retry
-      validated.fetch_add(1, std::memory_order_relaxed);
-      if (a != b) violation = true;
-    }
-  };
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kReaders; ++r) threads.emplace_back(reader);
-  {
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w) writers.emplace_back(writer, w);
-    for (auto& t : writers) t.join();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(violation.load());
-  EXPECT_GT(validated.load(), 0u);
-  // Writers all gone: the sequence is even and stable.
-  EXPECT_EQ(locks.seq_begin(0) % 2, 0u);
-}
-
-// try_writer_commit is the kernel's commit point: among snapshot holders
-// racing to commit, exactly one wins per sequence value, and every loser
-// saw the sequence move.
-TEST(SeqlockStress, CommitValidationAdmitsOneWriterPerSnapshot) {
-  LineLocks locks(1, LockScheme::Seqlock);
-  constexpr int kThreads = 4;
-  constexpr int kCommits = 2000;
-  std::uint64_t committed = 0;  // mutated only inside a won commit
-  std::atomic<bool> violation{false};
-
-  auto worker = [&] {
-    MatchStats stats;
-    std::uint64_t mine = 0;
-    while (mine < kCommits) {
-      const std::uint32_t s0 = locks.seq_begin(0);
-      if (!locks.try_writer_commit(0, s0, Side::Left, stats)) continue;
-      const std::uint64_t prev = committed;
-      committed = prev + 1;
-      locks.unlock_writer(0);
-      ++mine;
-      (void)prev;
-    }
-  };
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker);
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(violation.load());
-  EXPECT_EQ(committed, static_cast<std::uint64_t>(kThreads) * kCommits);
-  EXPECT_EQ(locks.seq_begin(0) % 2, 0u);
 }
 
 TEST(MrswStress, ContentionStatsAreConsistent) {

@@ -209,6 +209,17 @@ TEST(RecordReplay, ReplayRefusesMismatchedProgram) {
   spec.mode = "seq";
   spec.max_cycles = 20;
   RecordedRun rec = record_run(spec);
+  // A header naming the removed sequence-lock scheme is refused, not
+  // replayed under another scheme.
+  ReplayLog retired = rec.log;
+  retired.header.lock_scheme = "seq" "lock";
+  try {
+    replay_run(retired);
+    ADD_FAILURE() << "replayed a log with a retired lock scheme";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad lock scheme"),
+              std::string::npos) << e.what();
+  }
   rec.log.header.program_fingerprint ^= 1;
   EXPECT_THROW(replay_run(rec.log), std::runtime_error);
 }

@@ -126,8 +126,7 @@ TEST(WorldEquivalence, Batch64WorldsEqualsSixtyFourSequentialRuns) {
   // The threaded pool interleaves every world's tasks over shared workers
   // and a shared lock array; per-world results must not change.
   for (const auto scheme :
-       {match::LockScheme::Simple, match::LockScheme::Mrsw,
-        match::LockScheme::Seqlock}) {
+       {match::LockScheme::Simple, match::LockScheme::Mrsw}) {
     EngineOptions topt = opt;
     topt.match_processes = 3;
     topt.task_queues = 2;
@@ -138,8 +137,7 @@ TEST(WorldEquivalence, Batch64WorldsEqualsSixtyFourSequentialRuns) {
     threaded.run_all();
     expect_worlds_match(threaded, refs,
                         scheme == match::LockScheme::Simple ? "threaded/simple"
-                        : scheme == match::LockScheme::Mrsw ? "threaded/mrsw"
-                                                            : "threaded/seqlock");
+                                                            : "threaded/mrsw");
   }
 }
 
@@ -200,8 +198,7 @@ TEST(WorldEquivalence, DelayedLockReleaseStillMatchesSequential) {
   const auto wl = workloads::rubik(6);
   const auto program = ops5::Program::from_source(wl.source);
   for (const auto scheme :
-       {match::LockScheme::Simple, match::LockScheme::Mrsw,
-        match::LockScheme::Seqlock}) {
+       {match::LockScheme::Simple, match::LockScheme::Mrsw}) {
     rr::FaultPlan plan;
     for (unsigned ep = 0; ep < 3; ++ep)
       plan.ops.push_back({rr::FaultKind::DelayLockRelease, ep,
@@ -252,7 +249,7 @@ TEST(WorldEquivalence, RestoreRewindsOnlyTheRestoredWorlds) {
   std::vector<EngineSnapshot> at6;
   std::vector<std::vector<FiringRecord>> trace6;
   for (std::uint32_t w = 0; w < 8; ++w) {
-    at6.push_back(batch.snapshot_world(w));
+    at6.push_back(batch.snapshot_session(w));
     trace6.push_back(batch.world(w).trace);
   }
   for (std::uint32_t w = 0; w < 8; ++w) batch.set_max_cycles(w, 12);

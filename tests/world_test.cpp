@@ -158,7 +158,7 @@ TEST(BatchEngine, CheckpointRestoreIntoAnotherSlotResumesIdentically) {
   for (const std::string& w : wl.initial_wmes) batch.make(0, w);
   batch.set_max_cycles(0, 4);
   batch.run_session(0);
-  const EngineSnapshot snap = batch.snapshot_world(0);
+  const EngineSnapshot snap = batch.snapshot_session(0);
 
   // The uninterrupted continuation is the reference.
   batch.set_max_cycles(0, 20);

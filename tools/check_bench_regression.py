@@ -17,10 +17,12 @@ baseline without one is an error.
 
 Rows are matched key-for-key; the check fails if any matched row is more
 than `tolerance` worse than baseline (slower for ns_per_task, fewer
-sessions/sec for throughput). Keys present in only one file are reported
-but do not fail the gate (sweep shapes may grow over time). A baseline
-with no rows for its own key and metric is skipped with a note instead
-of failing — regenerate the baseline to re-arm the gate.
+sessions/sec for throughput), or if a baseline row is missing from the
+current run (a dropped row would otherwise leave its figure ungated —
+re-record the baseline when a sweep shrinks on purpose). Rows only the
+current run has are reported as new and do not fail (sweeps may grow). A
+baseline with no rows for its own key and metric is skipped with a note
+instead of failing — regenerate the baseline to re-arm the gate.
 
 The default tolerance is 0.10 (the CI gate: >10% regression fails);
 override with --tolerance or the PSME_BENCH_TOLERANCE env var. The
@@ -96,7 +98,7 @@ def main():
     if not current:
         sys.exit(f"{args.current}: no ({fields}, {metric}) rows")
 
-    failed = False
+    regressed = dropped = False
     key_name = "/".join(fields)
     width = max(len(key_name), 6,
                 *(len(fmt_key(k)) for k in set(current) | set(baseline)))
@@ -108,7 +110,8 @@ def main():
             print(f"{kl:>{width}} {'-':>12} {current[k]:>12.1f}    (new)")
             continue
         if k not in current:
-            print(f"{kl:>{width}} {baseline[k]:>12.1f} {'-':>12}    (dropped)")
+            print(f"{kl:>{width}} {baseline[k]:>12.1f} {'-':>12}    DROPPED")
+            dropped = True
             continue
         ratio = current[k] / baseline[k] if baseline[k] else 0.0
         # Normalize so > 1 always means "worse than baseline".
@@ -116,16 +119,19 @@ def main():
         flag = ""
         if badness > 1.0 + args.tolerance:
             flag = "  REGRESSION"
-            failed = True
+            regressed = True
         print(
             f"{kl:>{width}} {baseline[k]:>12.1f} {current[k]:>12.1f} "
             f"{ratio:>8.3f}{flag}"
         )
-    if failed:
+    if regressed:
         print(
             f"FAIL: {metric} regressed more than "
             f"{args.tolerance:.0%} vs {args.baseline}"
         )
+    if dropped:
+        print(f"FAIL: baseline rows missing from {args.current}")
+    if regressed or dropped:
         return 1
     print("OK: within tolerance")
     return 0

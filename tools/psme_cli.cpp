@@ -12,10 +12,9 @@
 //                    the paper's central spin-locked queues, or per-worker
 //                    lock-free deques with work stealing (default steal
 //                    on threads, central on sim, the paper's discipline)
-//   --locks {simple|mrsw|seqlock}   hash-line lock scheme: exclusive spin
-//                    locks, the paper's multiple-reader-single-writer
-//                    locks, or optimistic seqlock probes with commit-time
-//                    validation (threads/sim/worlds kernels)
+//   --locks {simple|mrsw}   hash-line lock scheme: exclusive spin locks
+//                    or the paper's multiple-reader-single-writer locks
+//                    (threads/sim/worlds kernels)
 //   --strategy {lex|mea}
 //   --worlds N       run N independent copies of the program as world
 //                    slots of one world::BatchEngine (shared Rete network
@@ -152,8 +151,6 @@ int main(int argc, char** argv) {
           psme::match::LockScheme::Simple;
       else if (v == "mrsw") config.options.lock_scheme =
           psme::match::LockScheme::Mrsw;
-      else if (v == "seqlock") config.options.lock_scheme =
-          psme::match::LockScheme::Seqlock;
       else usage("unknown lock scheme");
     } else if (arg == "--strategy") {
       const std::string v = next();

@@ -9,10 +9,9 @@
 //   --workload {weaver|rubik|tourney|tourney-fixed|random}
 //   --mode {seq|threads|sim}   engine to record (default threads)
 //   --sched {central|steal}    task-scheduling discipline
-//   --locks {simple|mrsw|seqlock}   hash-line lock scheme: exclusive spin
-//                              locks, the paper's multiple-reader-single-
-//                              writer locks, or optimistic seqlock probes
-//                              with commit-time validation
+//   --locks {simple|mrsw}      hash-line lock scheme: exclusive spin
+//                              locks or the paper's multiple-reader-
+//                              single-writer locks
 //   --strategy {lex|mea}
 //   --procs N --queues N --cycles N
 //   --seed S                   workload seed (selects `random`'s program)
@@ -31,6 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/observability.hpp"
 #include "rr/harness.hpp"
@@ -100,7 +100,12 @@ int cmd_record(int argc, char** argv) {
   }
   if (out_path.empty()) usage("record needs --out FILE");
   spec.workload = resolve_workload(workload, fast, spec.seed);
-  const psme::rr::RecordedRun run = psme::rr::record_run(spec);
+  psme::rr::RecordedRun run;
+  try {
+    run = psme::rr::record_run(spec);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // an unknown --mode/--sched/--locks/--strategy
+  }
   write_file(out_path, run.log.serialize());
   std::cout << "recorded " << run.log.header.workload << " (" << spec.mode
             << "/" << spec.scheduler << "): " << run.log.cycles.size()
@@ -128,8 +133,12 @@ int cmd_replay(int argc, char** argv) {
   if (!psme::rr::ReplayLog::deserialize(read_file(log_path), &log, &error))
     usage(error.c_str());
   psme::obs::Observability obs;
-  const psme::rr::ReplayOutcome outcome =
-      psme::rr::replay_run(log, metrics_path.empty() ? nullptr : &obs);
+  psme::rr::ReplayOutcome outcome;
+  try {
+    outcome = psme::rr::replay_run(log, metrics_path.empty() ? nullptr : &obs);
+  } catch (const std::runtime_error& e) {
+    usage(e.what());  // a header this build cannot run, or another program
+  }
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     if (!out) usage(("cannot write " + metrics_path).c_str());

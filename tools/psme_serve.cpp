@@ -20,7 +20,7 @@
 //   --mode M          engine mode: seq|lisp|threads|sim|treat (default sim)
 //   --procs N         match processes for threads/sim modes   (default 4)
 //   --locks S         hash-line lock scheme for threads/sim
-//                     modes: simple|mrsw|seqlock           (default simple)
+//                     modes: simple|mrsw                   (default simple)
 //   --cycles N        loadgen: cycles per run slice           (default 25)
 //   --slices N        loadgen: run slices per session         (default 4)
 //   --think-ms X      loadgen: closed-loop think time         (default 0)
@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
     config.options.lock_scheme = psme::match::LockScheme::Simple;
   else if (locks == "mrsw")
     config.options.lock_scheme = psme::match::LockScheme::Mrsw;
-  else if (locks == "seqlock")
-    config.options.lock_scheme = psme::match::LockScheme::Seqlock;
   else
     usage("unknown lock scheme");
 

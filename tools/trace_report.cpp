@@ -264,34 +264,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Lock-discipline signature: the scheme-specific contention costs that
+  // Lock-discipline signature: the scheme-specific contention cost that
   // the Table 4-7/4-8 probe distributions above cannot see — MRSW conflicts
-  // come back as requeued tasks, Seqlock conflicts as discarded speculative
-  // probes (and, past the retry budget, fully locked fallbacks).
+  // come back as requeued tasks.
   {
     const auto req = mv.find("psme.match.requeues");
-    const auto retries = mv.find("psme.match.seq_retries");
-    const auto fallbacks = mv.find("psme.match.seq_fallbacks");
     const auto tasks = mv.find("psme.match.tasks_executed");
-    const double conflicts = (req != mv.end() ? req->second : 0.0) +
-                             (retries != mv.end() ? retries->second : 0.0);
-    if (conflicts > 0) {
+    if (req != mv.end() && req->second > 0) {
       std::printf("\nlock discipline:\n");
-      if (req != mv.end() && req->second > 0) {
-        std::printf("  mrsw requeues    %12.0f", req->second);
-        if (tasks != mv.end() && tasks->second > 0)
-          std::printf("  (%.3f per task)", req->second / tasks->second);
-        std::printf("\n");
-      }
-      if (retries != mv.end() && retries->second > 0) {
-        std::printf("  seqlock retries  %12.0f", retries->second);
-        if (tasks != mv.end() && tasks->second > 0)
-          std::printf("  (%.3f per task)", retries->second / tasks->second);
-        std::printf("\n");
-      }
-      if (fallbacks != mv.end() && fallbacks->second > 0)
-        std::printf("  seqlock fallbacks %11.0f  (retry budget exhausted)\n",
-                    fallbacks->second);
+      std::printf("  mrsw requeues    %12.0f", req->second);
+      if (tasks != mv.end() && tasks->second > 0)
+        std::printf("  (%.3f per task)", req->second / tasks->second);
+      std::printf("\n");
     }
   }
 
