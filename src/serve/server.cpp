@@ -86,7 +86,7 @@ std::vector<SessionId> Server::open_batch_sessions(const ops5::Program& program,
 std::vector<SessionId> Server::open_shard_sessions(
     const ops5::Program& program, EngineConfig config, std::uint32_t count,
     std::uint16_t shards, shard::TransportKind transport, std::uint16_t lanes,
-    shard::KeylessPolicy keyless, bool overlap) {
+    shard::KeylessPolicy keyless) {
   if (count == 0)
     throw std::invalid_argument("open_shard_sessions: count must be >= 1");
   if (lanes == 0 || lanes > count)
@@ -104,7 +104,6 @@ std::vector<SessionId> Server::open_shard_sessions(
     scfg.sessions = std::min(per, count - begin);
     scfg.transport = transport;
     scfg.keyless = keyless;
-    scfg.overlap = overlap;
     backends.push_back(
         std::make_unique<shard::ShardGroup>(program, config.options, scfg));
     add_slots(sessions, program, backends.back().get(), scfg.sessions);

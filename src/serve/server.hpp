@@ -75,19 +75,15 @@ class Server {
   // contiguous blocks). One ShardGroup serializes its sessions' requests
   // on its own coordinator mutex, so lanes — not shards — are the
   // front-tier parallelism knob; shards partition the match WITHIN a
-  // lane. `keyless` and `overlap` pick the keyless-join policy and whether
-  // priced exchanges overlap (shard/partition.hpp, shard/shard_group.hpp);
-  // they default to ShardGroupConfig's (replicate + overlap), and
-  // KeylessPolicy::Owner / overlap=false reproduce the strictly-synchronous
-  // single-owner behavior. `checkpoint`/`restore` on these sessions is the
-  // drain / migration path: the psme.checkpoint.v1 document restores into
-  // any topology. The groups live until drain().
+  // lane. `keyless` picks the keyless-join policy (shard/partition.hpp)
+  // and defaults to ShardGroupConfig's. `checkpoint`/`restore` on these
+  // sessions is the drain / migration path: the psme.checkpoint.v1
+  // document restores into any topology. The groups live until drain().
   std::vector<SessionId> open_shard_sessions(
       const ops5::Program& program, EngineConfig config, std::uint32_t count,
       std::uint16_t shards, shard::TransportKind transport,
       std::uint16_t lanes = 1,
-      shard::KeylessPolicy keyless = shard::ShardGroupConfig{}.keyless,
-      bool overlap = shard::ShardGroupConfig{}.overlap);
+      shard::KeylessPolicy keyless = shard::ShardGroupConfig{}.keyless);
   bool close_session(SessionId id);  // queued requests answer `err`
   std::size_t session_count() const;
 

@@ -79,13 +79,9 @@ std::uint64_t value_bits(const Value& v) {
 
 }  // namespace
 
-BatchWriter::BatchWriter(std::uint16_t src, std::uint16_t dst,
-                         std::uint8_t version)
-    : version_(version) {
-  if (version < kMinVersion || version > kVersion)
-    throw ProtocolError("unsupported version");
+BatchWriter::BatchWriter(std::uint16_t src, std::uint16_t dst) {
   u32(kMagic);
-  u8(version);
+  u8(kVersion);
   u16(src);
   u16(dst);
   u32(0);  // frame count, patched by take()
@@ -206,7 +202,7 @@ void BatchWriter::stats_reply(const StatsReplyFrame& f) {
   u64(f.forwarded);
   u64(f.dropped);
   u64(f.vtime);
-  if (version_ >= 2) u64(f.replicated_keeps);
+  u64(f.replicated_keeps);
 }
 
 void BatchWriter::batch_done(const BatchDoneFrame& f) {
@@ -218,14 +214,12 @@ void BatchWriter::batch_done(const BatchDoneFrame& f) {
 void BatchWriter::shutdown() { begin(FrameType::Shutdown); }
 
 void BatchWriter::flush_mark(const FlushFrame& f) {
-  if (version_ < 2) throw ProtocolError("FlushMark requires version 2");
   begin(FrameType::FlushMark);
   u64(f.cycle);
   u32(f.epoch);
 }
 
 void BatchWriter::flush_ack(const FlushFrame& f) {
-  if (version_ < 2) throw ProtocolError("FlushAck requires version 2");
   begin(FrameType::FlushAck);
   u64(f.cycle);
   u32(f.epoch);
@@ -258,11 +252,8 @@ InstFrame read_inst(Reader& r) {
 Batch decode_batch(const std::string& bytes) {
   Reader r(bytes.data(), bytes.size());
   if (r.u32() != kMagic) throw ProtocolError("bad magic");
-  const std::uint8_t version = r.u8();
-  if (version < kMinVersion || version > kVersion)
-    throw ProtocolError("unsupported version");
+  if (r.u8() != kVersion) throw ProtocolError("unsupported version");
   Batch b;
-  b.version = version;
   b.src = r.u16();
   b.dst = r.u16();
   const std::size_t nframes = r.count(r.u32(), 1);
@@ -338,7 +329,7 @@ Batch decode_batch(const std::string& bytes) {
         f.stats.forwarded = r.u64();
         f.stats.dropped = r.u64();
         f.stats.vtime = r.u64();
-        f.stats.replicated_keeps = version >= 2 ? r.u64() : 0;
+        f.stats.replicated_keeps = r.u64();
         break;
       case FrameType::BatchDone:
         f.done.vtime_delta = r.u64();
@@ -346,8 +337,6 @@ Batch decode_batch(const std::string& bytes) {
         break;
       case FrameType::FlushMark:
       case FrameType::FlushAck:
-        if (version < 2)
-          throw ProtocolError("flush frame in version-1 batch");
         f.flush.cycle = r.u64();
         f.flush.epoch = r.u32();
         break;

@@ -14,13 +14,10 @@
 // round-trips bit-identically whether or not a process boundary is
 // crossed (the protocol fuzz tests rely on this).
 //
-// Versioning: the current version is 2. Version 2 is a strict superset
-// of version 1 — every v1 frame keeps its exact v1 wire layout, so v1
-// byte streams decode unchanged — and adds the overlapped-exchange
-// handshake (FlushMark/FlushAck, rejected in v1 batches) plus one
-// trailing field on StatsReply (replicated_keeps, decoded only when the
-// batch header says v2). The decoder accepts both version bytes;
-// Batch::version reports which one arrived.
+// Versioning: the current version is 2 and the decoder accepts exactly
+// kVersion. Shard batches never outlive the coordinator/shard pair of one
+// build that writes them, so any other version byte is refused like any
+// other bad header.
 //
 // Decoding is defensive: every read is bounds-checked against the
 // remaining payload and every count field is validated before
@@ -40,7 +37,6 @@ namespace psme::shard {
 
 inline constexpr std::uint32_t kMagic = 0x31425350u;  // "PSB1", LE
 inline constexpr std::uint8_t kVersion = 2;
-inline constexpr std::uint8_t kMinVersion = 1;  // v1 streams still decode
 
 class ProtocolError : public std::runtime_error {
  public:
@@ -66,8 +62,7 @@ enum class FrameType : std::uint8_t {
   StatsReply = 15,    // reply to StatsQuery
   BatchDone = 16,     // trails every reply batch: per-batch cost facts
   Shutdown = 17,      // shard acknowledges, then exits its serve loop
-  // v2 frames — the overlapped-exchange credit handshake. Rejected when
-  // the batch header says version 1.
+  // The exchange's credit handshake (shard_group.hpp).
   FlushMark = 18,  // coordinator: "drain everything before this mark"
   FlushAck = 19,   // shard echo: the mark's (cycle, epoch), credit return
 };
@@ -122,9 +117,7 @@ struct StatsReplyFrame {
   std::uint64_t forwarded = 0;   // tasks routed to another shard
   std::uint64_t dropped = 0;     // root emissions owned elsewhere
   std::uint64_t vtime = 0;       // modeled compute, CostModel instructions
-  // v2 only: tasks kept local by keyless replication (wire-absent and
-  // decoded as 0 when the batch header says version 1).
-  std::uint64_t replicated_keeps = 0;
+  std::uint64_t replicated_keeps = 0;  // tasks kept local by replication
 };
 
 struct BatchDoneFrame {
@@ -132,12 +125,12 @@ struct BatchDoneFrame {
   std::uint32_t tasks_delta = 0;  // tasks executed for THIS batch
 };
 
-// FlushMark / FlushAck. The coordinator stamps every overlapped request
-// batch with (exchange cycle, per-shard epoch); the shard drains the
-// batch and echoes the mark back, returning the send credit. Epochs are
-// strictly increasing per shard connection — both sides validate.
+// FlushMark / FlushAck. The coordinator stamps every request batch with
+// (exchange cycle, per-shard epoch); the shard drains the batch and
+// echoes the mark back, returning the send credit. Epochs are strictly
+// increasing per shard connection — both sides validate.
 struct FlushFrame {
-  std::uint64_t cycle = 0;  // which overlapped exchange this belongs to
+  std::uint64_t cycle = 0;  // which exchange this belongs to
   std::uint32_t epoch = 0;  // per-shard send sequence within the run
 };
 
@@ -159,17 +152,13 @@ struct Frame {
 struct Batch {
   std::uint16_t src = 0xffff;  // partition.hpp kCoordinator
   std::uint16_t dst = 0;
-  std::uint8_t version = kVersion;  // header byte the batch arrived with
   std::vector<Frame> frames;
 };
 
 // Incremental batch builder: append frames, then take() the wire bytes.
-// `version` pins the header byte and the StatsReply layout; writing a
-// v2-only frame into a v1 batch throws (the decoder would reject it).
 class BatchWriter {
  public:
-  BatchWriter(std::uint16_t src, std::uint16_t dst,
-              std::uint8_t version = kVersion);
+  BatchWriter(std::uint16_t src, std::uint16_t dst);
 
   void hello(const HelloFrame& f);
   void wm_delta(const WmDeltaFrame& f);
@@ -206,7 +195,6 @@ class BatchWriter {
 
   std::string buf_;
   std::size_t frames_ = 0;
-  std::uint8_t version_ = kVersion;
 };
 
 // Decodes a full batch. Throws ProtocolError on any malformed input.

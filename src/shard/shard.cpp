@@ -295,7 +295,7 @@ std::string ShardState::handle(const std::string& bytes) {
         break;
       }
       case FrameType::FlushMark:
-        // Overlapped-exchange credit handshake: drain everything queued
+        // Exchange credit handshake: drain everything queued
         // ahead of the mark, then echo it — the ack tells the
         // coordinator this batch's forwards are all in the reply and
         // returns its send credit.

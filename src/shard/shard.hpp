@@ -95,7 +95,7 @@ class ShardState {
   std::vector<std::unique_ptr<Slice>> slices_;  // lazily built
   std::vector<Slice*> touched_;  // slices with queued work this batch
 
-  // Overlapped-exchange handshake: FlushMark epochs must be strictly
+  // Exchange credit handshake: FlushMark epochs must be strictly
   // increasing over the connection's lifetime.
   std::uint32_t last_epoch_ = 0;
 

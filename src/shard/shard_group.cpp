@@ -96,78 +96,6 @@ BatchWriter& ShardGroup::to(std::uint16_t s) {
 
 void ShardGroup::exchange(
     bool priced,
-    const std::function<void(std::uint16_t, const Frame&)>& on_frame) {
-  // Priced traffic takes the overlapped path when configured; control
-  // traffic (handshake, digests, checkpoints, stats) is single-round and
-  // stays on the synchronous loop below, unmarked.
-  if (priced && cfg_.overlap) {
-    exchange_overlapped(on_frame);
-    return;
-  }
-  for (;;) {
-    std::vector<std::uint16_t> contacted;
-    std::vector<std::size_t> sent_bytes;
-    for (std::uint16_t k = 0; k < cfg_.shards; ++k) {
-      if (!out_[k] || out_[k]->empty()) {
-        out_[k].reset();
-        continue;
-      }
-      stats_.frames += out_[k]->frames();
-      std::string bytes = out_[k]->take();
-      out_[k].reset();
-      stats_.batches += 1;
-      stats_.bytes_sent += bytes.size();
-      contacted.push_back(k);
-      sent_bytes.push_back(bytes.size());
-      transport_->send(k, std::move(bytes));
-    }
-    if (contacted.empty()) return;
-    // Replies are collected in shard order — determinism does not depend
-    // on which shard finishes first.
-    sim::VTime round_max = 0;
-    for (std::size_t i = 0; i < contacted.size(); ++i) {
-      const std::uint16_t k = contacted[i];
-      const std::string reply_bytes = transport_->recv(k);
-      stats_.batches += 1;
-      stats_.bytes_received += reply_bytes.size();
-      const Batch reply = decode_batch(reply_bytes);
-      if (reply.src != k || reply.dst != kCoordinator)
-        throw ProtocolError("reply batch from unexpected endpoint");
-      sim::VTime shard_compute = 0;
-      for (const Frame& f : reply.frames) {
-        stats_.frames += 1;
-        switch (f.type) {
-          case FrameType::TaskFwd:
-            // Hub-and-spoke relay: re-batch toward the owner shard.
-            if (f.fwd.dst >= cfg_.shards)
-              throw ProtocolError("forward addressed to unknown shard");
-            to(f.fwd.dst).task_fwd(f.fwd);
-            stats_.forwards += 1;
-            break;
-          case FrameType::BatchDone:
-            shard_compute = f.done.vtime_delta;
-            break;
-          default:
-            if (on_frame) on_frame(k, f);
-            break;
-        }
-      }
-      if (priced) {
-        const sim::VTime req = cfg_.cost.batch_cost(sent_bytes[i]);
-        const sim::VTime rep = cfg_.cost.batch_cost(reply_bytes.size());
-        round_max = std::max(round_max, req + shard_compute + rep);
-        stats_.compute_vtime += shard_compute;
-        stats_.comm_vtime += req + rep;
-      }
-    }
-    if (priced) {
-      stats_.makespan_vtime += round_max;
-      stats_.rounds += 1;
-    }
-  }
-}
-
-void ShardGroup::exchange_overlapped(
     const std::function<void(std::uint16_t, const Frame&)>& on_frame,
     const std::function<bool()>& on_drained) {
   // Credit window: one marked batch in flight per shard — the FlushAck
@@ -229,6 +157,7 @@ void ShardGroup::exchange_overlapped(
         stats_.frames += 1;
         switch (f.type) {
           case FrameType::TaskFwd:
+            // Hub-and-spoke relay: re-batch toward the owner shard.
             if (f.fwd.dst >= cfg_.shards)
               throw ProtocolError("forward addressed to unknown shard");
             to(f.fwd.dst).task_fwd(f.fwd);
@@ -247,26 +176,28 @@ void ShardGroup::exchange_overlapped(
             break;
         }
       }
-      if (!acked)
-        throw ProtocolError("overlapped reply missing its flush ack");
-      const sim::VTime comm =
-          sent.req_cost + cfg_.cost.batch_cost(reply_bytes.size());
-      stats_.compute_vtime += shard_compute;
-      stats_.comm_vtime += comm;
-      sweep_overlapped =
-          std::max(sweep_overlapped,
-                   cfg_.cost.path_cost(shard_compute, comm, true));
-      sweep_serial = std::max(
-          sweep_serial, cfg_.cost.path_cost(shard_compute, comm, false));
+      if (!acked) throw ProtocolError("reply missing its flush ack");
+      if (priced) {
+        const sim::VTime comm =
+            sent.req_cost + cfg_.cost.batch_cost(reply_bytes.size());
+        stats_.compute_vtime += shard_compute;
+        stats_.comm_vtime += comm;
+        sweep_overlapped =
+            std::max(sweep_overlapped,
+                     cfg_.cost.path_cost(shard_compute, comm, true));
+        sweep_serial = std::max(
+            sweep_serial, cfg_.cost.path_cost(shard_compute, comm, false));
+      }
       // Eager relay: anything this reply produced leaves now if the
       // destination's credit is free — a later shard in this sweep sees
       // it this sweep, not behind a barrier.
       for (std::uint16_t k2 = 0; k2 < cfg_.shards; ++k2) send_ready(k2);
     }
-    stats_.makespan_vtime += sweep_overlapped;
-    stats_.overlap_saved_vtime += sweep_serial - sweep_overlapped;
-    stats_.rounds += 1;
-    stats_.overlap_rounds += 1;
+    if (priced) {
+      stats_.makespan_vtime += sweep_overlapped;
+      stats_.overlap_saved_vtime += sweep_serial - sweep_overlapped;
+      stats_.rounds += 1;
+    }
   }
 }
 
@@ -310,10 +241,15 @@ void ShardGroup::flush_pending(Session& s) {
 
 void ShardGroup::match_round(
     const std::vector<std::uint32_t>& refraction_for) {
-  // Quiesce barrier (+ checkpoint-restore refraction: the conflict sets
-  // are complete once traffic drains, so the owner shard can find each
-  // instantiation).
-  auto enqueue_quiesce = [&] {
+  // Deltas, forwards AND the quiesce barrier ride one exchange: when
+  // traffic drains, the barrier frames (+ checkpoint-restore refraction:
+  // the conflict sets are complete by then, so the owner shard can find
+  // each instantiation) are appended and confirmed under the same
+  // credit/ack discipline.
+  bool quiesced = false;
+  exchange(/*priced=*/true, nullptr, [&]() -> bool {
+    if (quiesced) return false;
+    quiesced = true;
     for (const std::uint32_t id : refraction_for) {
       Session& s = session(id);
       for (const FiringRecord& rec : s.restored_fired) {
@@ -326,24 +262,8 @@ void ShardGroup::match_round(
       s.restored_fired.clear();
     }
     for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).quiesce();
-  };
-  if (cfg_.overlap) {
-    // Deltas, forwards AND the quiesce barrier ride one overlapped
-    // exchange: when traffic drains, the barrier frames are appended and
-    // confirmed under the same credit/ack discipline.
-    bool quiesced = false;
-    exchange_overlapped(nullptr, [&]() -> bool {
-      if (quiesced) return false;
-      quiesced = true;
-      enqueue_quiesce();
-      return true;
-    });
-    return;
-  }
-  // Deltas propagate and forwarded join activations relay until drained.
-  exchange(/*priced=*/true);
-  enqueue_quiesce();
-  exchange(/*priced=*/true);
+    return true;
+  });
 }
 
 void ShardGroup::capture_digests(const std::vector<std::uint32_t>& ids) {
@@ -630,9 +550,6 @@ void ShardGroup::export_obs(obs::Registry& registry) {
   registry.counter(c("psme.shard.vtime.makespan", "instructions",
                      "sum over rounds of the slowest shard's path"))
       .add(0, gs.makespan_vtime);
-  registry.counter(c("psme.shard.overlap.rounds", "rounds",
-                     "priced rounds run by the overlapped exchange"))
-      .add(0, gs.overlap_rounds);
   registry.counter(c("psme.shard.overlap.saved_vtime", "instructions",
                      "idle-wait vtime the overlap hid vs a sync barrier"))
       .add(0, gs.overlap_saved_vtime);

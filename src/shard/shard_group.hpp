@@ -26,31 +26,30 @@
 //     shard (refraction), and runs the RHS locally — new deltas feed
 //     step 1 of the next round.
 //
-// Interconnect pricing: every request/reply batch is charged
+// Interconnect pricing: every priced request/reply batch is charged
 // CostModel::batch_cost(bytes) and every reply reports its modeled
-// compute (BatchDone); a round's virtual makespan is the MAX over
-// contacted shards of CostModel::path_cost(compute, comm) — with the
-// synchronous exchange that is request + compute + reply back-to-back,
-// with the overlapped exchange it is max(compute, comm) because the
-// shard keeps draining while frames are in flight. That makespan is what
-// bench/shard_compare reports as virtual time. Digest/checkpoint traffic
-// is diagnostic and deliberately unpriced.
+// compute (BatchDone); a sweep's virtual makespan is the MAX over
+// contacted shards of CostModel::path_cost(compute, comm, true) =
+// max(compute, comm), because the shard keeps draining while frames are
+// in flight. That makespan is what bench/shard_compare reports as virtual
+// time; the request + compute + reply counterfactual is kept only as
+// overlap_saved_vtime. Digest/checkpoint/stats traffic is diagnostic and
+// deliberately unpriced.
 //
-// Overlapped exchange (ShardGroupConfig::overlap, the default): every
-// priced request batch ends with a FlushMark carrying (exchange cycle,
-// per-shard epoch); the shard drains and echoes a FlushAck, returning
-// the coordinator's send credit for that shard. The coordinator relays
-// TaskFwd frames the moment the carrying reply arrives — an eager send
-// toward any shard whose credit is free — instead of holding them for an
-// end-of-round barrier, and the quiesce barrier itself rides the same
-// exchange once traffic drains. Replies are still consumed in shard
-// order and frames applied in the same total order as the synchronous
-// path, so per-cycle rr digests stay bit-identical (the equivalence
-// suite runs all four policy x overlap combinations).
+// The exchange: every request batch — control traffic included — ends
+// with a FlushMark carrying (exchange cycle, per-shard epoch); the shard
+// drains and echoes a FlushAck, returning the coordinator's send credit
+// for that shard. The coordinator relays TaskFwd frames the moment the
+// carrying reply arrives — an eager send toward any shard whose credit is
+// free — instead of holding them for an end-of-round barrier, and the
+// quiesce barrier itself rides the same exchange once traffic drains.
+// Replies are consumed in shard order and frames applied in one total
+// order, so per-cycle rr digests match a single engine's bit for bit
+// (the equivalence suite runs both keyless policies on both transports).
 //
 // Thread safety: one coarse mutex serializes the public surface (the
-// transport is strict request/reply per shard; the overlap credit window
-// is one batch in flight per shard, preserving that invariant). The
+// transport is strict request/reply per shard; the credit window is one
+// batch in flight per shard, preserving that invariant). The
 // serve front tier therefore runs one ShardGroup per worker lane rather
 // than sharing one.
 #pragma once
@@ -80,11 +79,9 @@ struct ShardGroupConfig {
   std::uint32_t sessions = 1;
   TransportKind transport = TransportKind::InProc;
   sim::CostModel cost;
-  // Keyless-join routing and exchange overlap (docs/sharding.md). The
-  // defaults are the fast path; `--keyless owner --overlap off`
-  // reproduces PR 9's synchronous single-owner behavior byte-for-byte.
+  // Keyless-join routing (docs/sharding.md): each policy wins some
+  // measured rows, so both stay.
   KeylessPolicy keyless = KeylessPolicy::Replicate;
-  bool overlap = true;
 };
 
 // Interconnect + partition accounting, aggregated over the group's life.
@@ -101,7 +98,6 @@ struct GroupStats {
   sim::VTime compute_vtime = 0;      // sum of shard batch compute
   sim::VTime comm_vtime = 0;         // sum of batch_cost both directions
   sim::VTime makespan_vtime = 0;     // sum over rounds of the slowest path
-  std::uint64_t overlap_rounds = 0;  // rounds priced by the overlapped path
   sim::VTime overlap_saved_vtime = 0;  // barrier counterfactual - overlapped
   std::uint64_t replicated_nodes = 0;  // keyless joins running replicated
   std::uint64_t replicated_keeps = 0;  // tasks kept local by replication
@@ -192,21 +188,17 @@ class ShardGroup final : public SessionBackend {
 
   // Pending outgoing batch per shard; created on first frame.
   BatchWriter& to(std::uint16_t s);
-  // Sends every pending batch, collects replies, relays TaskFwd frames
-  // into fresh batches and repeats until nothing is in flight. Non-relay
-  // reply frames go to `on_frame`. `priced` charges the interconnect.
+  // Sends every pending batch, each ending with a FlushMark, one batch in
+  // flight per shard; relays TaskFwd frames eagerly as each reply arrives
+  // and repeats until nothing is in flight. Non-relay reply frames go to
+  // `on_frame`. `priced` charges the interconnect: each sweep costs the
+  // max over shards of max(compute, comm). `on_drained` runs when nothing
+  // is in flight; returning true (after enqueueing more frames — e.g. the
+  // folded quiesce barrier) continues the exchange, false ends it.
   void exchange(bool priced,
                 const std::function<void(std::uint16_t, const Frame&)>&
-                    on_frame = nullptr);
-  // The overlapped variant (priced exchanges when cfg_.overlap): marks
-  // every request batch, relays forwards eagerly as each reply arrives,
-  // and prices each sweep as max over shards of max(compute, comm).
-  // `on_drained` runs when nothing is in flight; returning true (after
-  // enqueueing more frames — e.g. the folded quiesce barrier) continues
-  // the exchange, false ends it.
-  void exchange_overlapped(
-      const std::function<void(std::uint16_t, const Frame&)>& on_frame,
-      const std::function<bool()>& on_drained = nullptr);
+                    on_frame = nullptr,
+                const std::function<bool()>& on_drained = nullptr);
 
   void flush_pending(Session& s);
   // Delta exchange + (restore refraction) + quiesce barrier.
@@ -231,8 +223,8 @@ class ShardGroup final : public SessionBackend {
   // every other engine uses decides between shard proposals.
   ConflictSet cr_;
   GroupStats stats_;
-  // Overlapped-exchange handshake state: one exchange cycle id per
-  // exchange_overlapped call, one strictly-increasing epoch per shard.
+  // Exchange handshake state: one exchange cycle id per exchange call,
+  // one strictly-increasing epoch per shard.
   std::uint64_t exchange_cycle_ = 0;
   std::vector<std::uint32_t> epoch_;
   bool digest_capture_ = false;

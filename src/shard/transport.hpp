@@ -3,7 +3,7 @@
 // The coordinator speaks strict request/reply to each shard: send(shard,
 // batch) then recv(shard) for its reply. Sends to several shards may be
 // in flight at once (send all, then collect all), which is what makes
-// shard-level parallelism real on both transports. The overlapped
+// shard-level parallelism real on both transports. The coordinator's
 // exchange (shard_group.cpp) keeps this one-request-per-pipe invariant:
 // its FlushMark credit window is exactly one marked batch in flight per
 // shard, so neither side ever writes a second message into a pipe whose

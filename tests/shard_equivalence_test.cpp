@@ -2,7 +2,7 @@
 // transports) must produce per-cycle rr digests — WM digest and merged
 // conflict-set digest at every quiescent point — identical to a
 // single-engine run of each session, plus identical firing traces, in
-// ALL FOUR {keyless owner, replicate} x {overlap on, off} combinations.
+// BOTH keyless policies (owner, replicate).
 // A divergence names the first (session, cycle) pair, and the per-shard
 // conflict-set detail then names the first SHARD whose local entries are
 // not a subset of the reference conflict set, so a partition bug is
@@ -112,7 +112,7 @@ void expect_sessions_match(ShardGroup& group,
 }
 
 // The 64 sequential references are the expensive half; compute them once
-// and share them across the four policy/overlap combination tests.
+// and share them across the two keyless-policy tests.
 const workloads::Workload& rubik_wl() {
   static const auto wl = workloads::rubik(6);
   return wl;
@@ -133,8 +133,8 @@ const std::vector<SessionRef>& rubik_refs() {
 }
 
 // One cell of the acceptance matrix: 64 sessions, 4 shards, both
-// transports, under the given keyless policy and exchange mode.
-void run_matrix_cell(KeylessPolicy keyless, bool overlap) {
+// transports, under the given keyless policy.
+void run_matrix_cell(KeylessPolicy keyless) {
   const std::vector<SessionRef>& refs = rubik_refs();
   for (const TransportKind t :
        {TransportKind::InProc, TransportKind::Socket}) {
@@ -145,7 +145,6 @@ void run_matrix_cell(KeylessPolicy keyless, bool overlap) {
     cfg.sessions = kSessions;
     cfg.transport = t;
     cfg.keyless = keyless;
-    cfg.overlap = overlap;
     ShardGroup group(rubik_program(), opt, cfg);
     group.set_digest_capture(true, /*per_shard_detail=*/true);
     for (std::uint32_t s = 0; s < kSessions; ++s) {
@@ -157,17 +156,10 @@ void run_matrix_cell(KeylessPolicy keyless, bool overlap) {
     const std::string label =
         std::string(t == TransportKind::Socket ? "socket/4" : "inproc/4") +
         (keyless == KeylessPolicy::Replicate ? " keyless=replicate"
-                                             : " keyless=owner") +
-        (overlap ? " overlap=on" : " overlap=off");
+                                             : " keyless=owner");
     expect_sessions_match(group, refs, label.c_str());
     const GroupStats gs = group.group_stats();
-    if (overlap) {
-      EXPECT_GT(gs.overlap_rounds, 0u) << label;
-      EXPECT_EQ(gs.overlap_rounds, gs.rounds) << label;
-    } else {
-      EXPECT_EQ(gs.overlap_rounds, 0u) << label;
-      EXPECT_EQ(gs.overlap_saved_vtime, 0u) << label;
-    }
+    EXPECT_GT(gs.rounds, 0u) << label;
     if (keyless == KeylessPolicy::Owner) {
       EXPECT_EQ(gs.replicated_nodes, 0u) << label;
       EXPECT_EQ(gs.replicated_keeps, 0u) << label;
@@ -175,23 +167,17 @@ void run_matrix_cell(KeylessPolicy keyless, bool overlap) {
   }
 }
 
-TEST(ShardEquivalence, SixtyFourSessionsFourShardsOwnerSync) {
-  run_matrix_cell(KeylessPolicy::Owner, /*overlap=*/false);
-}
 TEST(ShardEquivalence, SixtyFourSessionsFourShardsOwnerOverlap) {
-  run_matrix_cell(KeylessPolicy::Owner, /*overlap=*/true);
-}
-TEST(ShardEquivalence, SixtyFourSessionsFourShardsReplicateSync) {
-  run_matrix_cell(KeylessPolicy::Replicate, /*overlap=*/false);
+  run_matrix_cell(KeylessPolicy::Owner);
 }
 TEST(ShardEquivalence, SixtyFourSessionsFourShardsReplicateOverlap) {
-  run_matrix_cell(KeylessPolicy::Replicate, /*overlap=*/true);
+  run_matrix_cell(KeylessPolicy::Replicate);
 }
 
 TEST(ShardEquivalence, TourneyKeylessMatrixMatchesSequential) {
   // tourney is the keyless-heavy workload (the 1.07x ceiling this PR's
-  // replication lifts): prove the full policy/overlap matrix on it too,
-  // and that Replicate actually replicates nodes here.
+  // replication lifts): prove both keyless policies on it too, and that
+  // Replicate actually replicates nodes here.
   const auto wl = workloads::tourney(6);
   const auto program = ops5::Program::from_source(wl.source);
   constexpr std::uint32_t kTourneySessions = 8;
@@ -200,36 +186,32 @@ TEST(ShardEquivalence, TourneyKeylessMatrixMatchesSequential) {
     refs.push_back(sequential_ref(program, session_wmes(wl, s)));
   for (const KeylessPolicy keyless :
        {KeylessPolicy::Owner, KeylessPolicy::Replicate}) {
-    for (const bool overlap : {false, true}) {
-      for (const TransportKind t :
-           {TransportKind::InProc, TransportKind::Socket}) {
-        EngineOptions opt;
-        opt.hash_buckets = 64;
-        ShardGroupConfig cfg;
-        cfg.shards = 4;
-        cfg.sessions = kTourneySessions;
-        cfg.transport = t;
-        cfg.keyless = keyless;
-        cfg.overlap = overlap;
-        ShardGroup group(program, opt, cfg);
-        group.set_digest_capture(true, /*per_shard_detail=*/true);
-        for (std::uint32_t s = 0; s < kTourneySessions; ++s) {
-          for (const std::string& lit : session_wmes(wl, s))
-            group.make(s, lit);
-          group.set_max_cycles(s, kCycles);
-        }
-        group.run_all();
-        const std::string label =
-            std::string("tourney ") +
-            (t == TransportKind::Socket ? "socket" : "inproc") +
-            (keyless == KeylessPolicy::Replicate ? " replicate" : " owner") +
-            (overlap ? " on" : " off");
-        expect_sessions_match(group, refs, label.c_str());
-        const GroupStats gs = group.group_stats();
-        if (keyless == KeylessPolicy::Replicate) {
-          EXPECT_GT(gs.replicated_nodes, 0u) << label;
-          EXPECT_GT(gs.replicated_keeps, 0u) << label;
-        }
+    for (const TransportKind t :
+         {TransportKind::InProc, TransportKind::Socket}) {
+      EngineOptions opt;
+      opt.hash_buckets = 64;
+      ShardGroupConfig cfg;
+      cfg.shards = 4;
+      cfg.sessions = kTourneySessions;
+      cfg.transport = t;
+      cfg.keyless = keyless;
+      ShardGroup group(program, opt, cfg);
+      group.set_digest_capture(true, /*per_shard_detail=*/true);
+      for (std::uint32_t s = 0; s < kTourneySessions; ++s) {
+        for (const std::string& lit : session_wmes(wl, s))
+          group.make(s, lit);
+        group.set_max_cycles(s, kCycles);
+      }
+      group.run_all();
+      const std::string label =
+          std::string("tourney ") +
+          (t == TransportKind::Socket ? "socket" : "inproc") +
+          (keyless == KeylessPolicy::Replicate ? " replicate" : " owner");
+      expect_sessions_match(group, refs, label.c_str());
+      const GroupStats gs = group.group_stats();
+      if (keyless == KeylessPolicy::Replicate) {
+        EXPECT_GT(gs.replicated_nodes, 0u) << label;
+        EXPECT_GT(gs.replicated_keeps, 0u) << label;
       }
     }
   }
@@ -285,9 +267,8 @@ TEST(ShardEquivalence, RestoredSessionContinuesTheReferenceTrace) {
   src_cfg.sessions = 1;
   // Migrate across policies too: the checkpoint replays wmes through the
   // coordinator, so the destination rebuilds all partition state under
-  // its own (here: replicate + overlap, the defaults) routing.
+  // its own (here: replicate, the default) routing.
   src_cfg.keyless = KeylessPolicy::Owner;
-  src_cfg.overlap = false;
   ShardGroup source(program, opt, src_cfg);
   for (const std::string& lit : wmes) source.make(0, lit);
   source.set_max_cycles(0, 6);

@@ -92,7 +92,7 @@ TEST(ShardProtocol, EveryFrameTypeRoundTrips) {
   const Batch b = decode_batch(bytes);
   EXPECT_EQ(b.src, kCoordinator);
   EXPECT_EQ(b.dst, 3);
-  EXPECT_EQ(b.version, kVersion);
+  EXPECT_EQ(static_cast<std::uint8_t>(bytes[4]), kVersion);
   ASSERT_EQ(b.frames.size(), 21u);
 
   EXPECT_EQ(b.frames[0].type, FrameType::Hello);
@@ -219,9 +219,9 @@ TEST(ShardProtocol, BadMagicVersionAndSignsAreRejected) {
     bad[4] = kVersion + 1;  // future version
     EXPECT_THROW(decode_batch(bad), ProtocolError);
   }
-  {
+  for (const char old_version : {0, 1}) {
     std::string bad = good;
-    bad[4] = 0;  // below kMinVersion
+    bad[4] = old_version;  // only kVersion decodes
     EXPECT_THROW(decode_batch(bad), ProtocolError);
   }
   {
@@ -242,55 +242,6 @@ TEST(ShardProtocol, BadMagicVersionAndSignsAreRejected) {
     bad[13 + 1 + 4] = 3;  // header + type + session -> sign
     EXPECT_THROW(decode_batch(bad), ProtocolError);
   }
-}
-
-TEST(ShardProtocol, VersionOneStreamsStillDecode) {
-  // A writer pinned to version 1 emits the exact v1 wire layout —
-  // StatsReply without the trailing replicated_keeps — and the decoder
-  // accepts it, reporting the field as zero.
-  BatchWriter v1(0, kCoordinator, /*version=*/1);
-  StatsReplyFrame sr;
-  sr.tasks = 100;
-  sr.forwarded = 20;
-  sr.dropped = 30;
-  sr.vtime = 7;
-  sr.replicated_keeps = 99;  // must NOT reach the wire at v1
-  v1.stats_reply(sr);
-  v1.batch_done({12, 3});
-  const std::string v1_bytes = v1.take();
-
-  BatchWriter v2(0, kCoordinator);
-  v2.stats_reply(sr);
-  v2.batch_done({12, 3});
-  const std::string v2_bytes = v2.take();
-  // Same frames, one version byte apart: v2 carries exactly the 8 extra
-  // payload bytes of the new StatsReply field.
-  EXPECT_EQ(v1_bytes.size() + 8, v2_bytes.size());
-
-  const Batch b = decode_batch(v1_bytes);
-  EXPECT_EQ(b.version, 1);
-  ASSERT_EQ(b.frames.size(), 2u);
-  EXPECT_EQ(b.frames[0].stats.tasks, 100u);
-  EXPECT_EQ(b.frames[0].stats.vtime, 7u);
-  EXPECT_EQ(b.frames[0].stats.replicated_keeps, 0u);
-  EXPECT_EQ(decode_batch(v2_bytes).frames[0].stats.replicated_keeps, 99u);
-}
-
-TEST(ShardProtocol, FlushFramesAreVersionTwoOnly) {
-  // The writer refuses to put a flush frame into a v1 batch...
-  BatchWriter v1(0, kCoordinator, /*version=*/1);
-  EXPECT_THROW(v1.flush_mark({1, 1}), ProtocolError);
-  EXPECT_THROW(v1.flush_ack({1, 1}), ProtocolError);
-  // ...and the decoder rejects one that got there anyway (a v2 flush
-  // batch with the version byte patched down to 1).
-  BatchWriter v2(0, kCoordinator);
-  v2.flush_mark({1, 1});
-  std::string bytes = v2.take();
-  bytes[4] = 1;
-  EXPECT_THROW(decode_batch(bytes), ProtocolError);
-  // An out-of-range version in the writer is rejected up front.
-  EXPECT_THROW(BatchWriter(0, kCoordinator, 0), ProtocolError);
-  EXPECT_THROW(BatchWriter(0, kCoordinator, kVersion + 1), ProtocolError);
 }
 
 TEST(ShardPartition, JumpHashIsStableAndMinimallyMoving) {

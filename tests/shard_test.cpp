@@ -32,14 +32,12 @@ std::vector<FiringRecord> sequential_trace(
 
 ShardGroupConfig cfg_of(std::uint16_t shards, std::uint32_t sessions,
                         TransportKind t,
-                        KeylessPolicy keyless = KeylessPolicy::Replicate,
-                        bool overlap = true) {
+                        KeylessPolicy keyless = KeylessPolicy::Replicate) {
   ShardGroupConfig cfg;
   cfg.shards = shards;
   cfg.sessions = sessions;
   cfg.transport = t;
   cfg.keyless = keyless;
-  cfg.overlap = overlap;
   return cfg;
 }
 
@@ -85,8 +83,7 @@ TEST(ShardGroup, KeylessAndNegatedJoinsStaySingleOwner) {
   const std::vector<FiringRecord> ref = sequential_trace(program, wmes);
   EngineOptions opt;
   ShardGroup group(program, opt,
-                   cfg_of(4, 1, TransportKind::InProc, KeylessPolicy::Owner,
-                          /*overlap=*/false));
+                   cfg_of(4, 1, TransportKind::InProc, KeylessPolicy::Owner));
   for (const std::string& w : wmes) group.make(0, w);
   group.run_all();
   EXPECT_EQ(group.trace(0), ref);
@@ -94,7 +91,6 @@ TEST(ShardGroup, KeylessAndNegatedJoinsStaySingleOwner) {
   const GroupStats gs = group.group_stats();
   EXPECT_EQ(gs.replicated_nodes, 0u);
   EXPECT_EQ(gs.replicated_keeps, 0u);
-  EXPECT_EQ(gs.overlap_rounds, 0u);
 }
 
 TEST(ShardGroup, KeylessReplicationMatchesSequentialAndKeepsLocal) {
@@ -105,20 +101,17 @@ TEST(ShardGroup, KeylessReplicationMatchesSequentialAndKeepsLocal) {
   const std::vector<std::string> wmes = {"(acc ^total 0)", "(step ^n 1)",
                                          "(step ^n 2)", "(step ^n 3)"};
   const std::vector<FiringRecord> ref = sequential_trace(program, wmes);
-  for (const bool overlap : {false, true}) {
-    EngineOptions opt;
-    ShardGroup group(program, opt,
-                     cfg_of(4, 1, TransportKind::InProc,
-                            KeylessPolicy::Replicate, overlap));
-    for (const std::string& w : wmes) group.make(0, w);
-    group.run_all();
-    EXPECT_EQ(group.trace(0), ref) << "overlap=" << overlap;
-    EXPECT_EQ(group.control(0).result().reason, StopReason::Halt);
-    const GroupStats gs = group.group_stats();
-    EXPECT_GT(gs.replicated_nodes, 0u);
-    EXPECT_GT(gs.replicated_keeps, 0u);
-    if (overlap) EXPECT_EQ(gs.overlap_rounds, gs.rounds);
-  }
+  EngineOptions opt;
+  ShardGroup group(program, opt,
+                   cfg_of(4, 1, TransportKind::InProc,
+                          KeylessPolicy::Replicate));
+  for (const std::string& w : wmes) group.make(0, w);
+  group.run_all();
+  EXPECT_EQ(group.trace(0), ref);
+  EXPECT_EQ(group.control(0).result().reason, StopReason::Halt);
+  const GroupStats gs = group.group_stats();
+  EXPECT_GT(gs.replicated_nodes, 0u);
+  EXPECT_GT(gs.replicated_keeps, 0u);
 }
 
 TEST(ShardGroup, MaxCyclesAndRerunsWork) {

@@ -34,12 +34,6 @@
 //                    replicate its wme-side memory to all shards so
 //                    probes stay local (default replicate). Needs
 //                    --shards.
-//   --overlap {on|off}   overlap priced shard exchanges: forward frames
-//                    while shards still compute and price each round at
-//                    max(compute, comm) instead of their sum (default
-//                    on). `--keyless owner --overlap off` reproduces the
-//                    strictly synchronous single-owner rounds. Needs
-//                    --shards.
 //   --no-vm          interpret the join tests instead of running the
 //                    compiled register bytecode (A/B comparison)
 //   --seed S         workload seed: selects --workload random's program and
@@ -123,8 +117,7 @@ int main(int argc, char** argv) {
   std::uint16_t shards = 0;
   std::string transport = "inproc";
   std::string keyless = "replicate";
-  std::string overlap = "on";
-  bool keyless_set = false, overlap_set = false;
+  bool keyless_set = false;
   std::string mode = "seq";
 
   for (int i = 1; i < argc; ++i) {
@@ -170,7 +163,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(std::stoul(next()));
     else if (arg == "--transport") transport = next();
     else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
-    else if (arg == "--overlap") { overlap = next(); overlap_set = true; }
     else if (arg == "--no-vm") config.options.match_vm = false;
     else if (arg == "--network") print_net = true;
     else if (arg == "--dump-bytecode") dump_bytecode = true;
@@ -213,10 +205,7 @@ int main(int argc, char** argv) {
     usage("--transport needs --shards");
   if (keyless != "owner" && keyless != "replicate")
     usage("unknown keyless policy (owner|replicate)");
-  if (overlap != "on" && overlap != "off")
-    usage("unknown overlap setting (on|off)");
-  if (shards == 0 && (keyless_set || overlap_set))
-    usage("--keyless/--overlap need --shards");
+  if (shards == 0 && keyless_set) usage("--keyless needs --shards");
   if (shards > 0 && config.options.memory != psme::match::MemoryStrategy::Hash)
     usage("--shards routes on hashed join keys; use --mode seq, not vs1");
 
@@ -287,7 +276,6 @@ int main(int argc, char** argv) {
                          : psme::shard::TransportKind::InProc;
     scfg.keyless = keyless == "owner" ? psme::shard::KeylessPolicy::Owner
                                       : psme::shard::KeylessPolicy::Replicate;
-    scfg.overlap = overlap == "on";
     psme::EngineOptions sopt = config.options;
     if (sessions > 1) sopt.watch = 0;  // same interleaving concern as --worlds
     psme::shard::ShardGroup group(program, sopt, scfg);
@@ -298,7 +286,7 @@ int main(int argc, char** argv) {
     }
     group.run_all();
     std::cout << "; " << shards << " shards (" << transport << ", keyless "
-              << keyless << ", overlap " << overlap << "), " << sessions
+              << keyless << "), " << sessions
               << " session(s), one compiled network\n";
     for (std::uint32_t s = 0; s < sessions; ++s) {
       const psme::RunResult r = group.control(s).result();
@@ -318,8 +306,8 @@ int main(int argc, char** argv) {
               << " forwards, " << gs.dropped << " dropped\n"
               << "; virtual time: compute " << gs.compute_vtime << ", comm "
               << gs.comm_vtime << ", makespan " << gs.makespan_vtime << "\n";
-    if (gs.overlap_rounds > 0 || gs.replicated_nodes > 0)
-      std::cout << "; overlap: " << gs.overlap_rounds << " round(s), saved "
+    if (gs.rounds > 0 || gs.replicated_nodes > 0)
+      std::cout << "; overlap: " << gs.rounds << " round(s), saved "
                 << gs.overlap_saved_vtime << " vtime; replicated "
                 << gs.replicated_nodes << " keyless node(s), "
                 << gs.replicated_keeps << " local keeps\n";

@@ -39,8 +39,6 @@
 //   --keyless P       stdin: keyless-join placement, owner|replicate
 //                     (docs/sharding.md); needs --shards
 //                                                     (default replicate)
-//   --overlap O       stdin: overlap priced shard exchanges, on|off;
-//                     needs --shards                        (default on)
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -91,8 +89,7 @@ int main(int argc, char** argv) {
   int shards = 0;
   std::string transport = "inproc";
   std::string keyless = "replicate";
-  std::string overlap = "on";
-  bool keyless_set = false, overlap_set = false;
+  bool keyless_set = false;
   psme::serve::ServerConfig server_config;
   psme::serve::LoadGenConfig gen;
 
@@ -125,7 +122,6 @@ int main(int argc, char** argv) {
     else if (arg == "--shards") shards = std::stoi(next());
     else if (arg == "--transport") transport = next();
     else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
-    else if (arg == "--overlap") { overlap = next(); overlap_set = true; }
     else if (arg == "--workload") workload_name = next();
     else if (!arg.empty() && arg[0] == '-')
       usage(("unknown option " + arg).c_str());
@@ -141,10 +137,7 @@ int main(int argc, char** argv) {
     usage("--transport needs --shards");
   if (keyless != "owner" && keyless != "replicate")
     usage("unknown keyless policy (owner|replicate)");
-  if (overlap != "on" && overlap != "off")
-    usage("unknown overlap setting (on|off)");
-  if (shards == 0 && (keyless_set || overlap_set))
-    usage("--keyless/--overlap need --shards");
+  if (shards == 0 && keyless_set) usage("--keyless needs --shards");
 
   psme::EngineConfig config;
   if (mode == "seq") {
@@ -202,7 +195,6 @@ int main(int argc, char** argv) {
         scfg.keyless = keyless == "owner"
                            ? psme::shard::KeylessPolicy::Owner
                            : psme::shard::KeylessPolicy::Replicate;
-        scfg.overlap = overlap == "on";
         psme::shard::ShardGroup group(program, config.options, scfg);
         psme::serve::Session session(program, &group, 0);
         return repl(session, initial_wmes);

@@ -334,14 +334,8 @@ int main(int argc, char** argv) {
         std::printf("  (%.1f%% of compute+comm overlapped away)",
                     100.0 * (1.0 - makespan / (compute + comm)));
       std::printf("\n");
-      const double orounds = opt("psme.shard.overlap.rounds");
-      const double rounds = opt("psme.shard.rounds");
-      std::printf("  overlap rounds   %12.0f", orounds);
-      if (rounds > 0)
-        std::printf("  (%.0f%% of rounds, %.0f idle-wait vtime saved)",
-                    100.0 * orounds / rounds,
-                    opt("psme.shard.overlap.saved_vtime"));
-      std::printf("\n");
+      std::printf("  overlap saved    %12.0f  idle-wait vtime vs a sync barrier\n",
+                  opt("psme.shard.overlap.saved_vtime"));
       std::printf("  replicated       %12.0f  keyless node(s), %.0f local keeps\n",
                   opt("psme.shard.replicated_nodes"),
                   opt("psme.shard.replicated_keeps"));
