@@ -21,7 +21,8 @@ class ProfilingEngine : public EngineBase {
       : EngineBase(program, options),
         cost_(cost),
         left_table_(options.hash_buckets),
-        right_table_(options.hash_buckets) {
+        right_table_(options.hash_buckets),
+        line_work_(left_table_.size(), 0) {
     ctx_.strategy = match::MemoryStrategy::Hash;
     world_.left_table = &left_table_;
     world_.right_table = &right_table_;
@@ -77,6 +78,10 @@ class ProfilingEngine : public EngineBase {
           match::process_join_probe(ctx_, world_, cur.task, up, emit, &ac);
           cost += cost_.join_update_charge(ac, cur.task.sign) +
                   cost_.join_probe_charge(ac);
+          VTime& line =
+              line_work_[left_table_.line_of(match::task_hash(cur.task))];
+          line += cost;
+          phase_.max_line_work = std::max(phase_.max_line_work, line);
           break;
         }
       }
@@ -95,11 +100,13 @@ class ProfilingEngine : public EngineBase {
     profile_.total_tasks += phase_.tasks;
     profile_.phases.push_back(phase_);
     phase_ = PhaseProfile{};
+    std::fill(line_work_.begin(), line_work_.end(), 0);
   }
 
   CostModel cost_;
   match::HashTokenTable left_table_;
   match::HashTokenTable right_table_;
+  std::vector<VTime> line_work_;  // this phase's join work per line
   match::BumpArena arena_;
   match::MatchContext ctx_;
   match::WorldContext world_;
@@ -108,16 +115,28 @@ class ProfilingEngine : public EngineBase {
   ParallelismProfile profile_;
 };
 
+double bound(const ParallelismProfile& profile, int processors,
+             bool line_serialised) {
+  if (profile.total_work == 0) return 0.0;
+  double denom = 0.0;
+  for (const PhaseProfile& p : profile.phases) {
+    double phase = std::max(static_cast<double>(p.critical_path),
+                            static_cast<double>(p.work) / processors);
+    if (line_serialised)
+      phase = std::max(phase, static_cast<double>(p.max_line_work));
+    denom += phase;
+  }
+  return denom == 0.0 ? 0.0 : static_cast<double>(profile.total_work) / denom;
+}
+
 }  // namespace
 
 double ParallelismProfile::speedup_bound(int processors) const {
-  if (total_work == 0) return 0.0;
-  double denom = 0.0;
-  for (const PhaseProfile& p : phases) {
-    denom += std::max(static_cast<double>(p.critical_path),
-                      static_cast<double>(p.work) / processors);
-  }
-  return denom == 0.0 ? 0.0 : static_cast<double>(total_work) / denom;
+  return bound(*this, processors, false);
+}
+
+double ParallelismProfile::line_bound(int processors) const {
+  return bound(*this, processors, true);
 }
 
 ParallelismProfile profile_parallelism(
@@ -144,6 +163,11 @@ std::string render_profile(const ParallelismProfile& profile) {
      << "speed-up bounds:";
   for (const int p : {2, 4, 8, 13, 16, 32}) {
     os << "  " << p << "p=" << profile.speedup_bound(p);
+  }
+  os << "\n"
+     << "line bounds:    ";
+  for (const int p : {2, 4, 8, 13, 16, 32}) {
+    os << "  " << p << "p=" << profile.line_bound(p);
   }
   os << "\n";
   return os.str();

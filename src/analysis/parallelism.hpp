@@ -13,6 +13,10 @@
 // speed-up ceiling with *zero* scheduling or lock overhead — the number
 // the paper's measured speed-ups (Tables 4-5/4-6/4-8) should be read
 // against, and an upper bound the simulator must respect.
+//
+// A second, tighter bound adds line serialisation: join tasks that hash to
+// one line of the token tables hold that line's lock one at a time, so a
+// phase also takes at least the largest work under any one line.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,7 @@ namespace psme::analysis {
 struct PhaseProfile {
   sim::VTime work = 0;
   sim::VTime critical_path = 0;
+  sim::VTime max_line_work = 0;  // largest join work under one hash line
   std::uint64_t tasks = 0;
 };
 
@@ -46,6 +51,9 @@ struct ParallelismProfile {
   // Upper bound on match speed-up with P processors (no overheads):
   // total_work / sum_phase max(critical, work/P).
   double speedup_bound(int processors) const;
+  // The same bound with each phase also charged its busiest line:
+  // total_work / sum_phase max(critical, work/P, max_line_work).
+  double line_bound(int processors) const;
 };
 
 // Profiles a program to quiescence/halt under the given cost model.

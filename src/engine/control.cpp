@@ -1,7 +1,9 @@
 #include "engine/control.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <tuple>
 
 #include "common/symbol_table.hpp"
 #include "ops5/parser.hpp"
@@ -133,6 +135,11 @@ EngineSnapshot Control::snapshot(std::vector<FiringRecord> fired) const {
   snap.next_timetag = wm->last_timetag() + 1;
   for (const Wme* w : wm->snapshot())
     snap.wmes.push_back({w->timetag, w->cls, w->fields});
+  std::sort(fired.begin(), fired.end(),
+            [](const FiringRecord& a, const FiringRecord& b) {
+              return std::tie(a.prod_index, a.timetags) <
+                     std::tie(b.prod_index, b.timetags);
+            });
   snap.fired = std::move(fired);
   snap.trace = trace;
   snap.cycles = stats.cycles;

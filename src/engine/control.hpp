@@ -96,7 +96,8 @@ struct Control {
              ConflictSet& cs, const Submit& submit);
 
   // Checkpoint capture at a quiescent point. The fired (refraction) records
-  // come from the conflict set, wherever it lives.
+  // come from the conflict set, wherever it lives, and are sorted by
+  // (production, timetags) so equal states give equal checkpoint bytes.
   EngineSnapshot snapshot(std::vector<FiringRecord> fired) const;
   EngineSnapshot snapshot(const ConflictSet& cs) const;
   // Replays a snapshot into a fresh session: the wmes queue as pending

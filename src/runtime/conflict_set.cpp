@@ -1,73 +1,166 @@
 #include "runtime/conflict_set.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
 
 #include "common/symbol_table.hpp"
 
 namespace psme {
 
-ConflictSet::Key ConflictSet::key_of(std::uint32_t prod_index,
-                                     const Token* token) {
-  Key k;
-  k.prod_index = prod_index;
-  k.wmes.assign(token->wmes(), token->wmes() + token->len);
-  return k;
+std::uint64_t ConflictSet::hash_of(const KeyView& key) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull * (std::uint64_t{key.prod_index} + 1);
+  for (std::uint32_t i = 0; i < key.len; ++i) {
+    h ^= reinterpret_cast<std::uintptr_t>(key.wmes[i]);
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
+  }
+  return h;
 }
 
+// --- Table -----------------------------------------------------------------
+
+std::uint32_t ConflictSet::Table::find(const KeyView& key,
+                                       std::uint64_t hash) const {
+  if (index_.empty()) return kNone;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t cell = index_[i];
+    if (cell == 0) return kNone;
+    const Slot& s = slots_[cell - 1];
+    if (s.hash == hash && s.inst.prod_index == key.prod_index &&
+        s.inst.wmes.size() == key.len &&
+        std::equal(key.wmes, key.wmes + key.len, s.inst.wmes.begin()))
+      return cell - 1;
+  }
+}
+
+std::uint32_t ConflictSet::Table::add(const KeyView& key,
+                                      std::uint64_t hash) {
+  if ((live_.size() + 1) * 2 > index_.size()) grow_index();
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.hash = hash;
+  s.live_pos = static_cast<std::uint32_t>(live_.size());
+  s.inst.prod_index = key.prod_index;
+  s.inst.wmes.assign(key.wmes, key.wmes + key.len);
+  s.inst.tags_desc.clear();
+  s.inst.refcount = 0;
+  s.inst.fired = false;
+  live_.push_back(slot);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = slot + 1;
+  return slot;
+}
+
+void ConflictSet::Table::erase(std::uint32_t slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = slots_[slot].hash & mask;
+  while (index_[i] != slot + 1) i = (i + 1) & mask;
+  // Backward-shift deletion: pull later cells of the probe run into the
+  // hole unless their home lies cyclically in (hole, cell].
+  for (std::size_t j = i;;) {
+    j = (j + 1) & mask;
+    if (index_[j] == 0) break;
+    const std::size_t home = slots_[index_[j] - 1].hash & mask;
+    const bool stays =
+        i <= j ? (i < home && home <= j) : (i < home || home <= j);
+    if (stays) continue;
+    index_[i] = index_[j];
+    i = j;
+  }
+  index_[i] = 0;
+
+  const std::uint32_t pos = slots_[slot].live_pos;
+  const std::uint32_t moved = live_.back();
+  live_[pos] = moved;
+  slots_[moved].live_pos = pos;
+  live_.pop_back();
+  free_.push_back(slot);
+}
+
+void ConflictSet::Table::grow_index() {
+  std::vector<std::uint32_t> old;
+  old.swap(index_);
+  index_.assign(old.empty() ? 64 : old.size() * 2, 0);
+  const std::size_t mask = index_.size() - 1;
+  for (const std::uint32_t cell : old) {
+    if (cell == 0) continue;
+    std::size_t i = slots_[cell - 1].hash & mask;
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = cell;
+  }
+}
+
+// --- ConflictSet -------------------------------------------------------------
+
 void ConflictSet::insert(std::uint32_t prod_index, const Token* token) {
-  insert(prod_index, key_of(prod_index, token).wmes);
+  insert(view(prod_index, token));
 }
 
 void ConflictSet::remove(std::uint32_t prod_index, const Token* token) {
-  remove(prod_index, key_of(prod_index, token).wmes);
+  remove(view(prod_index, token));
 }
 
 void ConflictSet::insert(std::uint32_t prod_index,
-                         std::vector<const Wme*> wmes) {
-  Key k{prod_index, std::move(wmes)};
-  SpinGuard g(lock_);
-  auto pd = pending_deletes_.find(k);
-  if (pd != pending_deletes_.end()) {
-    ++conjugate_hits_;
-    if (--pd->second == 0) pending_deletes_.erase(pd);
-    return;
-  }
-  auto it = entries_.find(k);
-  if (it != entries_.end()) {
-    ++it->second.refcount;
-    return;
-  }
-  Instantiation inst;
-  inst.prod_index = prod_index;
-  inst.wmes = k.wmes;
-  inst.tags_desc.reserve(inst.wmes.size());
-  for (const Wme* w : inst.wmes) inst.tags_desc.push_back(w->timetag);
-  std::sort(inst.tags_desc.begin(), inst.tags_desc.end(),
-            std::greater<TimeTag>());
-  inst.refcount = 1;
-  entries_.emplace(std::move(k), std::move(inst));
+                         const std::vector<const Wme*>& wmes) {
+  insert(view(prod_index, wmes));
 }
 
 void ConflictSet::remove(std::uint32_t prod_index,
-                         std::vector<const Wme*> wmes) {
-  Key k{prod_index, std::move(wmes)};
+                         const std::vector<const Wme*>& wmes) {
+  remove(view(prod_index, wmes));
+}
+
+void ConflictSet::insert(const KeyView& key) {
+  const std::uint64_t hash = hash_of(key);
   SpinGuard g(lock_);
-  auto it = entries_.find(k);
-  if (it == entries_.end()) {
-    ++pending_deletes_[k];
+  const std::uint32_t pd = pending_deletes_.find(key, hash);
+  if (pd != Table::kNone) {
+    ++conjugate_hits_;
+    if (--pending_deletes_.at(pd).refcount == 0) pending_deletes_.erase(pd);
     return;
   }
-  if (--it->second.refcount == 0) entries_.erase(it);
+  std::uint32_t slot = entries_.find(key, hash);
+  if (slot == Table::kNone) slot = entries_.add(key, hash);
+  Instantiation& inst = entries_.at(slot);
+  if (inst.refcount++ > 0) return;
+  for (const Wme* w : inst.wmes) inst.tags_desc.push_back(w->timetag);
+  std::sort(inst.tags_desc.begin(), inst.tags_desc.end(),
+            std::greater<TimeTag>());
+}
+
+void ConflictSet::remove(const KeyView& key) {
+  const std::uint64_t hash = hash_of(key);
+  SpinGuard g(lock_);
+  const std::uint32_t slot = entries_.find(key, hash);
+  if (slot == Table::kNone) {
+    std::uint32_t pd = pending_deletes_.find(key, hash);
+    if (pd == Table::kNone) pd = pending_deletes_.add(key, hash);
+    ++pending_deletes_.at(pd).refcount;
+    return;
+  }
+  if (--entries_.at(slot).refcount == 0) entries_.erase(slot);
 }
 
 bool ConflictSet::mark_fired(std::uint32_t prod_index,
                              const std::vector<TimeTag>& tags) {
   SpinGuard g(lock_);
-  for (auto& [key, inst] : entries_) {
-    (void)key;
-    if (inst.prod_index != prod_index || inst.refcount <= 0) continue;
-    if (inst.tags_in_order() != tags) continue;
+  for (const std::uint32_t slot : entries_.live()) {
+    Instantiation& inst = entries_.at(slot);
+    if (inst.prod_index != prod_index || inst.wmes.size() != tags.size())
+      continue;
+    if (!std::equal(tags.begin(), tags.end(), inst.wmes.begin(),
+                    [](TimeTag t, const Wme* w) { return w->timetag == t; }))
+      continue;
     inst.fired = true;
     return true;
   }
@@ -76,24 +169,23 @@ bool ConflictSet::mark_fired(std::uint32_t prod_index,
 
 bool ConflictSet::contains(std::uint32_t prod_index,
                            const std::vector<const Wme*>& wmes) const {
-  Key k{prod_index, wmes};
+  const KeyView key = view(prod_index, wmes);
+  const std::uint64_t hash = hash_of(key);
   SpinGuard g(lock_);
-  auto it = entries_.find(k);
-  return it != entries_.end() && it->second.refcount > 0;
+  return entries_.find(key, hash) != Table::kNone;
 }
 
 std::size_t ConflictSet::remove_containing(const Wme* wme) {
   SpinGuard g(lock_);
   std::size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const bool hit = std::find(it->second.wmes.begin(), it->second.wmes.end(),
-                               wme) != it->second.wmes.end();
-    if (hit) {
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  // Backwards: erase() fills the hole with the last live slot, which this
+  // walk has already visited.
+  for (std::size_t i = entries_.live().size(); i-- > 0;) {
+    const std::uint32_t slot = entries_.live()[i];
+    const std::vector<const Wme*>& wmes = entries_.at(slot).wmes;
+    if (std::find(wmes.begin(), wmes.end(), wme) == wmes.end()) continue;
+    entries_.erase(slot);
+    ++removed;
   }
   return removed;
 }
@@ -135,9 +227,9 @@ bool ConflictSet::dominates(const Instantiation& a, const Instantiation& b,
 const Instantiation* ConflictSet::best_unfired_locked(
     CrStrategy strategy) const {
   const Instantiation* best = nullptr;
-  for (const auto& [key, inst] : entries_) {
-    (void)key;
-    if (inst.fired || inst.refcount <= 0) continue;
+  for (const std::uint32_t slot : entries_.live()) {
+    const Instantiation& inst = entries_.at(slot);
+    if (inst.fired) continue;
     if (!best || dominates(inst, *best, strategy)) best = &inst;
   }
   return best;
@@ -162,26 +254,22 @@ std::optional<Instantiation> ConflictSet::peek(CrStrategy strategy) const {
 std::vector<Instantiation> ConflictSet::snapshot() const {
   SpinGuard g(lock_);
   std::vector<Instantiation> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, inst] : entries_) {
-    (void)key;
-    if (inst.refcount > 0) out.push_back(inst);
-  }
+  out.reserve(entries_.live().size());
+  for (const std::uint32_t slot : entries_.live())
+    out.push_back(entries_.at(slot));
   return out;
 }
 
 std::size_t ConflictSet::size() const {
   SpinGuard g(lock_);
-  return entries_.size();
+  return entries_.live().size();
 }
 
 std::size_t ConflictSet::pending_deletes() const {
   SpinGuard g(lock_);
   std::size_t n = 0;
-  for (const auto& [key, count] : pending_deletes_) {
-    (void)key;
-    n += count;
-  }
+  for (const std::uint32_t slot : pending_deletes_.live())
+    n += static_cast<std::size_t>(pending_deletes_.at(slot).refcount);
   return n;
 }
 

@@ -10,12 +10,19 @@
 // engine — sequential, threaded, simulated — fires the same instantiation
 // given the same conflict set (the cross-engine equivalence tests rely on
 // this).
+//
+// Storage allocates nothing per instantiation once warm. Instantiations
+// live in a slot pool; a freed slot goes on a free list and keeps its
+// vectors' capacity for the next insertion. An open-addressed index over
+// the content hash of (production, wme list) finds a slot, so a terminal
+// activation hashes and compares the flat token's inline wme array in
+// place. Conflict resolution scans a dense array of live slot numbers.
+// Parked conjugate deletes use a second table of the same type.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/spinlock.hpp"
@@ -49,9 +56,9 @@ class ConflictSet {
   // Terminal activation entry points. Thread-safe (internal spin lock).
   void insert(std::uint32_t prod_index, const Token* token);
   void remove(std::uint32_t prod_index, const Token* token);
-  // Same, from an explicit wme list (used by the lisp-style engine).
-  void insert(std::uint32_t prod_index, std::vector<const Wme*> wmes);
-  void remove(std::uint32_t prod_index, std::vector<const Wme*> wmes);
+  // Same, from an explicit wme list (the lisp-style and TREAT engines).
+  void insert(std::uint32_t prod_index, const std::vector<const Wme*>& wmes);
+  void remove(std::uint32_t prod_index, const std::vector<const Wme*>& wmes);
 
   // TREAT-style maintenance: membership query, and bulk removal of every
   // instantiation that references a wme (TREAT has no beta memories, so
@@ -79,8 +86,10 @@ class ConflictSet {
   // instantiation matches (e.g. its wmes died before the checkpoint).
   bool mark_fired(std::uint32_t prod_index, const std::vector<TimeTag>& tags);
 
-  // Snapshot of live instantiations (refcount > 0), unsorted. For tests.
+  // Snapshot of live instantiations (refcount > 0), in no particular order.
   std::vector<Instantiation> snapshot() const;
+  // Live instantiations, fired ones included. The simulator prices each
+  // cycle's resolution step by this count.
   std::size_t size() const;
   std::size_t pending_deletes() const;
   std::uint64_t conjugate_hits() const { return conjugate_hits_; }
@@ -91,33 +100,64 @@ class ConflictSet {
                  CrStrategy strategy) const;
 
  private:
-  struct Key {
+  // A (production, wme list) key viewed in place: a flat token's inline
+  // array or a caller's vector.
+  struct KeyView {
     std::uint32_t prod_index;
-    std::vector<const Wme*> wmes;
-    bool operator==(const Key& o) const {
-      return prod_index == o.prod_index && wmes == o.wmes;
-    }
+    const Wme* const* wmes;
+    std::uint32_t len;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = 0x9e3779b97f4a7c15ull ^ k.prod_index;
-      for (const Wme* w : k.wmes) {
-        h ^= reinterpret_cast<std::uintptr_t>(w) + 0x9e3779b97f4a7c15ull +
-             (h << 6) + (h >> 2);
-      }
-      return static_cast<std::size_t>(h);
+  static KeyView view(std::uint32_t prod_index, const Token* token) {
+    return {prod_index, token->wmes(), token->len};
+  }
+  static KeyView view(std::uint32_t prod_index,
+                      const std::vector<const Wme*>& wmes) {
+    return {prod_index, wmes.data(), static_cast<std::uint32_t>(wmes.size())};
+  }
+  static std::uint64_t hash_of(const KeyView& key);
+
+  // Slot pool + open-addressed index (linear probing, backward-shift
+  // deletion, load factor <= 1/2) + dense list of live slots. Not locked.
+  class Table {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    std::uint32_t find(const KeyView& key, std::uint64_t hash) const;
+    // Takes a slot for a key that find() missed: prod_index and wmes set,
+    // refcount 0, unfired, tags_desc empty.
+    std::uint32_t add(const KeyView& key, std::uint64_t hash);
+    void erase(std::uint32_t slot);
+
+    Instantiation& at(std::uint32_t slot) { return slots_[slot].inst; }
+    const Instantiation& at(std::uint32_t slot) const {
+      return slots_[slot].inst;
     }
+    const std::vector<std::uint32_t>& live() const { return live_; }
+
+   private:
+    struct Slot {
+      Instantiation inst;
+      std::uint64_t hash = 0;
+      std::uint32_t live_pos = 0;
+    };
+    void grow_index();
+
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
+    std::vector<std::uint32_t> live_;
+    std::vector<std::uint32_t> index_;  // slot + 1; 0 marks an empty cell
   };
 
-  static Key key_of(std::uint32_t prod_index, const Token* token);
+  void insert(const KeyView& key);
+  void remove(const KeyView& key);
 
   // Scan for the dominant unfired entry. Caller holds lock_.
   const Instantiation* best_unfired_locked(CrStrategy strategy) const;
 
   const ops5::Program& program_;
   mutable SpinLock lock_;
-  std::unordered_map<Key, Instantiation, KeyHash> entries_;
-  std::unordered_map<Key, std::uint32_t, KeyHash> pending_deletes_;
+  Table entries_;
+  Table pending_deletes_;  // refcount = parked `-` count
   std::uint64_t conjugate_hits_ = 0;
 };
 

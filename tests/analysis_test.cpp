@@ -134,5 +134,26 @@ TEST(Parallelism, BoundsRespectDefinitions) {
             std::string::npos);
 }
 
+TEST(Parallelism, LineBoundSeparatesKeylessFromKeyedWorkloads) {
+  // Tourney's keyless cross-product joins put most of a phase's join work
+  // on one hash line, so no processor count lifts it much past 1.6;
+  // rubik's keyed joins spread over lines and keep its dataflow bound.
+  const auto tourney = workloads::tourney();
+  const auto tp = profile_parallelism(
+      ops5::Program::from_source(tourney.source), tourney.initial_wmes);
+  EXPECT_LT(tp.line_bound(4), 2.0);
+  EXPECT_GT(tp.speedup_bound(4), 3.0);
+  const auto rubik = workloads::rubik();
+  const auto rp = profile_parallelism(
+      ops5::Program::from_source(rubik.source), rubik.initial_wmes);
+  EXPECT_GT(rp.line_bound(4), 3.0);
+  // Charging the busiest line can only lower the bound.
+  for (const int p : {1, 2, 4, 8, 16}) {
+    EXPECT_LE(tp.line_bound(p), tp.speedup_bound(p) + 1e-9);
+    EXPECT_LE(rp.line_bound(p), rp.speedup_bound(p) + 1e-9);
+  }
+  EXPECT_NE(render_profile(tp).find("line bounds:"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace psme::analysis

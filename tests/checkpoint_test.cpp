@@ -194,6 +194,32 @@ TEST(Checkpoint, RefusesNonFreshEngine) {
   EXPECT_THROW(ckpt.restore(engine.base()), std::logic_error);
 }
 
+TEST(Checkpoint, EqualStatesSerializeToEqualBytes) {
+  // The fired (refraction) records come out of the conflict set in table
+  // order, which follows wme addresses and insertion order; the checkpoint
+  // sorts them, so one state gives one byte string whatever the engine
+  // and wherever its wmes were allocated.
+  const auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(literalize b y)
+(p r (a ^x <v>) --> (make b ^y <v>))
+(p q (a ^x <v>) --> (make b ^y <v>))
+)");
+  auto capture = [&](ExecutionMode mode) {
+    EngineConfig config = config_for(mode);
+    config.options.max_cycles = 20;
+    Engine engine(program, config);
+    for (int i = 0; i < 30; ++i)
+      engine.make("(a ^x " + std::to_string(i) + ")");
+    engine.run();
+    return serve::Checkpoint::capture(engine.base()).serialize();
+  };
+  const std::string seq = capture(ExecutionMode::Sequential);
+  EXPECT_NE(seq.find("\"fired\":[["), std::string::npos);
+  EXPECT_EQ(capture(ExecutionMode::Sequential), seq);
+  EXPECT_EQ(capture(ExecutionMode::ParallelThreads), seq);
+}
+
 TEST(Checkpoint, SerializationIsStable) {
   const auto w = workloads::tourney(6, false);
   const auto program = ops5::Program::from_source(w.source);
