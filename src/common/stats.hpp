@@ -40,6 +40,10 @@ struct MatchStats {
   std::uint64_t emissions = 0;         // tokens scheduled by join nodes
   std::uint64_t conjugate_hits = 0;    // +/- pairs annihilated early
   std::uint64_t requeues = 0;          // MRSW opposite-side put-backs
+  // Terminal activations the executor buffered for the control to apply
+  // at quiescence (match::WorkerPool); each also counts in
+  // node_activations on the endpoint that ran it.
+  std::uint64_t deferred_terminals = 0;
   // Hash-line collisions: entries examined during bucket scans whose
   // (node id, key hash) prefilter did not match — unrelated residents of
   // the same line (hash backend only).
@@ -94,6 +98,7 @@ struct MatchStats {
     emissions += o.emissions;
     conjugate_hits += o.conjugate_hits;
     requeues += o.requeues;
+    deferred_terminals += o.deferred_terminals;
     line_collisions += o.line_collisions;
     for (int s = 0; s < 2; ++s) {
       opp_examined[s] += o.opp_examined[s];

@@ -23,6 +23,8 @@
 //    from different worlds never share memory, but may share a lock
 //    (false sharing is allowed; false non-sharing is not).
 //  - Root and Terminal tasks touch no line.
+//  - The executor's match processes never touch the conflict set; the
+//    control applies Terminal tasks at quiescence (WorkerPool).
 //
 // Sequential drivers call the same entry points with no locks held.
 #pragma once

@@ -11,8 +11,9 @@ void execute_task(MatchContext& ctx, WorldContext& world,
                   const rete::Network& net, Scheduler& sched,
                   LineLocks& locks, const Task& task,
                   std::uint32_t lock_salt, std::vector<Task>& emit_buf,
-                  unsigned ep, rr::Recorder* record,
-                  rr::FaultInjector* faults, obs::TraceRecorder* trace) {
+                  std::vector<Task>& terminals, unsigned ep,
+                  rr::Recorder* record, rr::FaultInjector* faults,
+                  obs::TraceRecorder* trace) {
   MatchStats& stats = *ctx.stats;
   // On a Machine every step is charged, and trace timestamps are its clock.
   Machine* const m = machine();
@@ -85,7 +86,7 @@ void execute_task(MatchContext& ctx, WorldContext& world,
       if (m) m->charge(Machine::Phase::Root, task, update_cost);
       break;
     case TaskKind::Terminal:
-      process_terminal(ctx, world, task);
+      terminals.push_back(task);
       if (m) m->charge(Machine::Phase::Terminal, task, update_cost);
       break;
     case TaskKind::JoinLeft:
@@ -137,9 +138,9 @@ void execute_task(MatchContext& ctx, WorldContext& world,
     }
   }
   // Root and Terminal tasks commute (roots only read shared state,
-  // terminals serialize on the conflict set's own lock), so logging them
-  // here — before their emissions are published, keeping the log causal —
-  // is still a valid serialization.
+  // terminals are applied at quiescence), so logging them here — before
+  // their emissions are published, keeping the log causal — is still a
+  // valid serialization.
   if (record && (task.kind == TaskKind::Root ||
                  task.kind == TaskKind::Terminal))
     record->on_commit(ep, task);
@@ -159,8 +160,8 @@ void execute_task(MatchContext& ctx, WorldContext& world,
     return;
   }
   const Task next = emit_buf[n - 1];
-  execute_task(ctx, world, net, sched, locks, next, lock_salt, emit_buf, ep,
-               record, faults, trace);
+  execute_task(ctx, world, net, sched, locks, next, lock_salt, emit_buf,
+               terminals, ep, record, faults, trace);
 }
 
 WorkerPool::WorkerPool(const rete::Network& net, const rete::CodeStore* code,
@@ -238,6 +239,21 @@ void WorkerPool::wait_quiescent() {
       SpinLock::cpu_relax();
     }
   }
+  apply_deferred_terminals();
+}
+
+void WorkerPool::apply_deferred_terminals() {
+  auto apply = [this](Executor& ex) {
+    // Skip an empty buffer without a write: its idle worker keeps writing
+    // its own statistics and executor lines while it looks for work.
+    if (ex.terminals.empty()) return;
+    for (const Task& t : ex.terminals)
+      process_terminal(ex.ctx, *worlds_[t.world].ctx, t);
+    ex.ctx.stats->deferred_terminals += ex.terminals.size();
+    ex.terminals.clear();
+  };
+  for (auto& w : workers_) apply(w->ex);
+  apply(control_);
 }
 
 void WorkerPool::end_run(MatchStats& into) {
@@ -283,8 +299,8 @@ bool WorkerPool::run_one(unsigned ep) {
   const PoolWorld& world = worlds_[task.world];
   ex.ctx.arena = &world.arenas[ep];
   execute_task(ex.ctx, *world.ctx, net_, *sched_, locks_, task,
-               world.lock_salt, ex.emit_buf, ep, hooks_.record, faults,
-               hooks_.obs ? &hooks_.obs->trace : nullptr);
+               world.lock_salt, ex.emit_buf, ex.terminals, ep, hooks_.record,
+               faults, hooks_.obs ? &hooks_.obs->trace : nullptr);
   return true;
 }
 

@@ -6,10 +6,12 @@
 // Multimax simulator, which call run_one() from fibers and price every
 // step through match::Machine (match/machine.hpp).
 //
-// Two departures from the paper keep per-task synchronization off the hot
-// path on real cores: the control thread runs tasks while it waits for
-// quiescence instead of spinning, and a task's last emission runs next on
-// the same endpoint without a scheduler round trip (continuation-first).
+// Three departures from the paper keep per-task synchronization off the
+// hot path on real cores: the control thread runs tasks while it waits for
+// quiescence instead of spinning; a task's last emission runs next on the
+// same endpoint without a scheduler round trip (continuation-first); and
+// Terminal tasks are buffered per endpoint and applied by the control at
+// quiescence, so the conflict set's lines stay on the control's core.
 //
 // The rr::Recorder, rr::FaultInjector and obs::Observability hooks are
 // optional and fixed at construction; each is a null check on the task
@@ -55,14 +57,17 @@ struct PoolWorld {
 // scheduler endpoint `ep` and counts it done. When the scheduler allows
 // continuations, all emissions but the last are published and the last
 // runs next here, on the popped task's TaskCount slot, and so on down the
-// chain. Statistics go to *ctx.stats; trace events (if `trace`) to stream
-// ep + 1, or stream 0 for the control endpoint.
+// chain. A Terminal task is appended to `terminals` (see
+// WorkerPool::apply_deferred_terminals). Statistics go to *ctx.stats;
+// trace events (if `trace`) to stream ep + 1, or stream 0 for the control
+// endpoint.
 void execute_task(MatchContext& ctx, WorldContext& world,
                   const rete::Network& net, Scheduler& sched,
                   LineLocks& locks, const Task& task,
                   std::uint32_t lock_salt, std::vector<Task>& emit_buf,
-                  unsigned ep, rr::Recorder* record,
-                  rr::FaultInjector* faults, obs::TraceRecorder* trace);
+                  std::vector<Task>& terminals, unsigned ep,
+                  rr::Recorder* record, rr::FaultInjector* faults,
+                  obs::TraceRecorder* trace);
 
 // The match processes, plus the scheduler and line locks they share.
 // Workers are spawned on the first begin_run() and parked between runs:
@@ -94,8 +99,16 @@ class WorkerPool {
   // woken: the machine's CPUs drive run_one() themselves.
   void begin_run(MatchStats& control_stats);
   // Runs tasks at control_ep() until the scheduler's TaskCount reaches
-  // zero. Control thread only, between begin_run() and end_run().
+  // zero, then calls apply_deferred_terminals(). Control thread only,
+  // between begin_run() and end_run().
   void wait_quiescent();
+  // Runs every endpoint's buffered Terminal tasks through
+  // process_terminal(), workers in endpoint order and then the control,
+  // counting each on the endpoint that popped it, and empties the buffers.
+  // Control only, once TaskCount has read zero: that acquire follows every
+  // worker's last task_done, and so its last append. The simulator calls
+  // this after its own quiescence wait.
+  void apply_deferred_terminals();
   // Parks the workers and merges their statistics into `into`.
   void end_run(MatchStats& into);
 
@@ -111,6 +124,7 @@ class WorkerPool {
   struct alignas(64) Executor {
     MatchContext ctx;
     std::vector<Task> emit_buf;
+    std::vector<Task> terminals;
   };
   // Each thread writes its own statistics and executor on every task; the
   // cache-line alignment keeps those writes off lines other threads read,

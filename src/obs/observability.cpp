@@ -93,6 +93,11 @@ void Observability::export_run_stats(const RunStats& stats,
                  "4-8"))
       .add(0, m.requeues);
   registry
+      .counter(c("psme.match.deferred_terminals", "activations",
+                 "terminal activations the executor buffered for the "
+                 "control process to apply at quiescence"))
+      .add(0, m.deferred_terminals);
+  registry
       .counter(c("psme.match.line_collisions", "entries",
                  "bucket entries skipped because their (node, key) hash "
                  "prefilter missed — unrelated residents of the line"))

@@ -5,7 +5,7 @@
 //    for join tasks, while still inside the line-lock region that orders
 //    the task against conflicting activations of the same hash line; for
 //    Root/Terminal tasks (which commute — roots only read shared state,
-//    terminals serialize on the conflict set's own lock), after the kernel
+//    terminals are applied at quiescence), after the kernel
 //    switch but before the emissions are published. Appending inside the
 //    lock is what makes the log a valid serialization: completion order is
 //    not one, because a worker can be descheduled between releasing its

@@ -53,7 +53,8 @@ class ConflictSet {
  public:
   explicit ConflictSet(const ops5::Program& program) : program_(program) {}
 
-  // Terminal activation entry points. Thread-safe (internal spin lock).
+  // Terminal activation entry points. Thread-safe (internal spin lock,
+  // uncontended on the executor's path: see match::WorkerPool).
   void insert(std::uint32_t prod_index, const Token* token);
   void remove(std::uint32_t prod_index, const Token* token);
   // Same, from an explicit wme list (the lisp-style and TREAT engines).

@@ -186,6 +186,7 @@ void SimEngine::run_phase(
     des_->wake_all(idle_workers_, cpu.now);
   }
   while (!sched.phase_complete()) des_->sleep(control_wait_);
+  pool_.apply_deferred_terminals();
   last_idle_ = cpu.now - pushes_done;
   sim_match_time_ += cpu.now - phase_start;
 }

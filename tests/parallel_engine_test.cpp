@@ -1,10 +1,16 @@
 // Threaded-engine specifics: restartability, oversubscription stress,
-// MRSW requeues actually happening, stats aggregation, error paths.
+// MRSW requeues actually happening, stats aggregation, error paths, and
+// the executor's hand-over of terminal activations to the control.
 #include "engine/parallel_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include "common/symbol_table.hpp"
 #include "engine/sequential_engine.hpp"
+#include "match/machine.hpp"
+#include "match/worker_pool.hpp"
+#include "rete/builder.hpp"
+#include "runtime/working_memory.hpp"
 #include "workloads/workloads.hpp"
 
 namespace psme {
@@ -226,6 +232,159 @@ TEST(ParallelEngine, DestructorJoinsWorkersEvenWithoutRun) {
   opt.match_processes = 4;
   { ParallelEngine eng(program, opt); }  // never run(): must not hang
   SUCCEED();
+}
+
+// A Machine that prices nothing. Installed on the test thread it keeps
+// WorkerPool::begin_run from starting worker threads, so the test runs
+// every endpoint's tasks itself with run_one(), in an order it chooses.
+class InlineMachine final : public match::Machine {
+ public:
+  void charge(Cost, std::size_t) override {}
+  void charge(Phase, const match::Task&, const match::ActivationCost&) override {}
+  std::uint64_t spin_wait(std::atomic<std::uint32_t>& word) override {
+    while (word.exchange(1, std::memory_order_acquire)) {
+    }
+    return 1;
+  }
+  bool hand_off(std::atomic<std::uint32_t>&) override { return false; }
+  void relax() override {}
+  void pause(std::uint32_t) override {}
+  double now_us() const override { return 0; }
+};
+
+// One world's match state.
+struct TestWorld {
+  TestWorld(const ops5::Program& program, int endpoints)
+      : cs(program), left(64), right(64),
+        arenas(static_cast<std::size_t>(endpoints)) {
+    ctx.left_table = &left;
+    ctx.right_table = &right;
+    ctx.conflict_set = &cs;
+  }
+  ConflictSet cs;
+  match::HashTokenTable left, right;
+  std::vector<match::BumpArena> arenas;
+  match::WorldContext ctx;
+};
+
+// A WorkerPool of two workers over `worlds` test worlds, driven from the
+// test thread.
+class ParallelEngineTerminals : public ::testing::Test {
+ protected:
+  static constexpr int kWorkers = 2;
+
+  ParallelEngineTerminals()
+      : program_(ops5::Program::from_source(R"(
+(literalize a x)
+(literalize b x)
+(p pair (a ^x <v>) (b ^x <v>) --> (halt))
+)")),
+        net_(rete::build_network(program_)),
+        wm_(program_) {
+    match::tl_machine = &machine_;
+  }
+  ~ParallelEngineTerminals() override { match::tl_machine = nullptr; }
+
+  void make_pool(int worlds) {
+    std::vector<match::PoolWorld> pw;
+    for (int i = 0; i < worlds; ++i) {
+      worlds_.push_back(std::make_unique<TestWorld>(program_, kWorkers + 1));
+      pw.push_back({&worlds_.back()->ctx, worlds_.back()->arenas.data(), 0});
+    }
+    pool_ = std::make_unique<match::WorkerPool>(
+        *net_, &net_->code(), kWorkers,
+        match::make_scheduler(match::SchedulerKind::Steal, 1, kWorkers + 1,
+                              match::WsDeque::kDefaultCapacity),
+        64, match::LockScheme::Simple, std::move(pw),
+        match::WorkerPool::Hooks{});
+    pool_->begin_run(control_stats_);
+  }
+
+  // Pushes the root task of one wme change of world `world` at the control
+  // endpoint.
+  void submit(std::uint32_t world, const Wme* wme, std::int8_t sign = +1) {
+    match::Task root;
+    root.kind = match::TaskKind::Root;
+    root.sign = sign;
+    root.world = world;
+    root.wme = wme;
+    pool_->scheduler().push(root, pool_->control_ep(), control_stats_);
+  }
+  // Runs tasks at endpoint `ep` until none is left to pop.
+  void drain(unsigned ep) {
+    while (pool_->run_one(ep)) {
+    }
+  }
+  const Wme* make(const char* cls, int v) {
+    return wm_.make(intern(cls), {Value::integer(v)});
+  }
+
+  InlineMachine machine_;
+  ops5::Program program_;
+  std::unique_ptr<rete::Network> net_;
+  WorkingMemory wm_;
+  std::vector<std::unique_ptr<TestWorld>> worlds_;
+  MatchStats control_stats_;
+  std::unique_ptr<match::WorkerPool> pool_;
+};
+
+TEST_F(ParallelEngineTerminals, TerminalsWaitForQuiescenceOnEveryEndpoint) {
+  make_pool(1);
+  ConflictSet& cs = worlds_[0]->cs;
+  const Wme* a = make("a", 1);
+  const Wme* b = make("b", 1);
+  submit(0, a);
+  submit(0, b);
+  drain(0);
+  EXPECT_TRUE(pool_->scheduler().phase_complete());
+  EXPECT_EQ(cs.size(), 0u) << "a worker wrote the conflict set";
+  pool_->wait_quiescent();
+  EXPECT_EQ(cs.size(), 1u);
+
+  // The control's own terminals, a retraction here, are buffered too.
+  submit(0, a, -1);
+  submit(0, b, -1);
+  drain(pool_->control_ep());
+  EXPECT_TRUE(pool_->scheduler().phase_complete());
+  EXPECT_EQ(cs.size(), 1u) << "the control wrote the conflict set mid-phase";
+  pool_->wait_quiescent();
+  EXPECT_EQ(cs.size(), 0u);
+
+  // Each activation counts on the endpoint that ran it.
+  EXPECT_EQ(control_stats_.deferred_terminals, 1u);
+  MatchStats workers;
+  pool_->end_run(workers);
+  EXPECT_EQ(workers.deferred_terminals, 1u);
+  EXPECT_GE(workers.node_activations, workers.deferred_terminals);
+}
+
+TEST_F(ParallelEngineTerminals, BatchDefersEachTerminalToItsOwnWorld) {
+  make_pool(2);
+  const Wme* a0 = make("a", 1);
+  const Wme* b0 = make("b", 1);
+  const Wme* a1 = make("a", 2);
+  const Wme* b1 = make("b", 2);
+  submit(0, a0);
+  submit(1, a1);
+  submit(0, b0);
+  submit(1, b1);
+  // Both workers take part; neither conflict set changes until the hand-over.
+  ASSERT_TRUE(pool_->run_one(0));
+  drain(1);
+  drain(0);
+  EXPECT_TRUE(pool_->scheduler().phase_complete());
+  EXPECT_EQ(worlds_[0]->cs.size(), 0u);
+  EXPECT_EQ(worlds_[1]->cs.size(), 0u);
+  pool_->wait_quiescent();
+  const std::vector<std::vector<const Wme*>> want = {{a0, b0}, {a1, b1}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::vector<Instantiation> snap = worlds_[i]->cs.snapshot();
+    ASSERT_EQ(snap.size(), 1u) << "world " << i;
+    EXPECT_EQ(snap[0].wmes, want[i]) << "world " << i;
+  }
+  MatchStats merged;
+  pool_->end_run(merged);
+  EXPECT_EQ(merged.deferred_terminals, 2u);
 }
 
 }  // namespace
