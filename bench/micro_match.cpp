@@ -6,10 +6,8 @@
 // programs whose tokens grow to the requested depth. `--sweep --json FILE`
 // writes psme.bench.v1 rows; BENCH_kernel_seed.json at the repo root is
 // the committed fast-mode baseline (recorded on the pre-flat-token
-// layout) and BENCH_vm_seed.json the bytecode-VM baseline, which CI
-// diffs against via tools/check_bench_regression.py. `--no-vm` runs the
-// sweep (or the micro benches) with EngineOptions::match_vm off — the
-// interpreted-test-walk A/B baseline (see EXPERIMENTS.md).
+// layout) and BENCH_vm_seed.json the one recorded under the since-deleted
+// bytecode VM; CI diffs against both via tools/check_bench_regression.py.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -23,10 +21,6 @@
 
 namespace psme {
 namespace {
-
-// --no-vm: run everything with the compiled-bytecode VM off (interpreted
-// test walks), for A/B against the default.
-bool g_no_vm = false;
 
 // Cost of one full recognize-act run of a small Rubik script, per engine.
 template <typename EngineT>
@@ -48,16 +42,6 @@ void BM_MatchVs2Hash(benchmark::State& state) {
   run_rubik_once<SequentialEngine>(state, {});
 }
 BENCHMARK(BM_MatchVs2Hash);
-
-// The same run with the bytecode VM off: per-test interpreted walks over
-// the nodes' test vectors. The pair is the compiled-slots-vs-VM
-// comparison (docs/join-bytecode.md).
-void BM_MatchVs2HashNoVm(benchmark::State& state) {
-  EngineOptions opt;
-  opt.match_vm = false;
-  run_rubik_once<SequentialEngine>(state, opt);
-}
-BENCHMARK(BM_MatchVs2HashNoVm);
 
 void BM_MatchVs1List(benchmark::State& state) {
   EngineOptions opt;
@@ -150,7 +134,6 @@ SweepRow sweep_once(const ops5::Program& program, int depth, int keys,
   opt.match_processes = procs;
   opt.task_queues = 2;
   opt.scheduler = match::SchedulerKind::Steal;
-  opt.match_vm = !g_no_vm;
   opt.max_cycles = 10'000'000;
   ParallelEngine eng(program, opt);
   const SymbolId key = intern("key");
@@ -214,13 +197,11 @@ int run_token_depth_sweep(int argc, char** argv) {
   json.stamp("keys", obs::Json(static_cast<double>(keys)));
   json.stamp("dup", obs::Json(static_cast<double>(dup)));
   json.stamp("rounds", obs::Json(static_cast<double>(rounds)));
-  json.stamp("vm", obs::Json(g_no_vm ? 0.0 : 1.0));
 
-  std::printf("token-depth sweep: threaded engine, hash backend, %s "
+  std::printf("token-depth sweep: threaded engine, hash backend "
               "(%d procs, %d keys x %d head wmes, %d all-key "
               "retract/assert rounds, best of %d)\n\n",
-              g_no_vm ? "interpreted tests" : "bytecode VM", procs, keys,
-              dup, rounds, reps);
+              procs, keys, dup, rounds, reps);
   std::printf("%-8s %12s %12s %12s\n", "depth", "ns/task", "tasks",
               "match ms");
   for (const int depth : depths) {
@@ -251,7 +232,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sweep") == 0) sweep = true;
     if (std::strcmp(argv[i], "--fast") == 0) setenv("PSME_BENCH_FAST", "1", 1);
-    if (std::strcmp(argv[i], "--no-vm") == 0) psme::g_no_vm = true;
   }
   if (sweep) return psme::run_token_depth_sweep(argc, argv);
   benchmark::Initialize(&argc, argv);

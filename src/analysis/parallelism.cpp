@@ -29,7 +29,6 @@ class ProfilingEngine : public EngineBase {
     world_.conflict_set = &cs_;
     ctx_.arena = &arena_;
     ctx_.stats = &ctl_.stats.match;
-    if (options.match_vm) ctx_.code = &network().code();
   }
 
   ParallelismProfile take_profile() {

@@ -72,10 +72,7 @@ struct MatchStats {
   std::uint64_t steal_successes = 0;
   std::uint64_t steal_overflow = 0;
 
-  // Bytecode-VM op counts (match/vm.hpp, docs/join-bytecode.md): loads
-  // (lw/lt), tests (teq..tmem), branches (jmp/pass/fail) executed by
-  // compiled alpha/beta test programs. Zero when EngineOptions::match_vm
-  // is off or the network has no compiled programs.
+  // Left from the deleted bytecode VM for wallbench's layer rows; always 0.
   std::uint64_t vm_loads = 0;
   std::uint64_t vm_tests = 0;
   std::uint64_t vm_branches = 0;
@@ -113,9 +110,6 @@ struct MatchStats {
     steal_attempts += o.steal_attempts;
     steal_successes += o.steal_successes;
     steal_overflow += o.steal_overflow;
-    vm_loads += o.vm_loads;
-    vm_tests += o.vm_tests;
-    vm_branches += o.vm_branches;
   }
 
   double mean_opp_examined(Side s) const {

@@ -51,9 +51,9 @@ struct EngineSnapshot {
   bool halted = false;
 };
 
-// The compiled program image: one Rete network (with its bytecode
-// CodeStore) and one compiled RHS per production. Built once per engine,
-// world pool or shard group, and read-only afterwards.
+// The compiled program image: one Rete network and one compiled RHS per
+// production. Built once per engine, world pool or shard group, and
+// read-only afterwards.
 struct ProgramImage {
   explicit ProgramImage(const ops5::Program& program);
 

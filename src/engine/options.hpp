@@ -64,12 +64,6 @@ struct EngineOptions {
   // match kernel (LispStyle, Treat). See validate_options (engine.hpp).
   std::uint32_t worlds = 0;
 
-  // Execute the compiled alpha/beta test programs on the register bytecode
-  // VM (rete/bytecode.hpp, docs/join-bytecode.md). Off falls back to the
-  // interpreted per-test walk; kept for A/B comparison
-  // (bench/micro_match --sweep --no-vm, see EXPERIMENTS.md).
-  bool match_vm = true;
-
   std::uint64_t max_cycles = 1'000'000;
 
   // Sink for the `write` RHS action; nullptr discards output.

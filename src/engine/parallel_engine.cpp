@@ -41,9 +41,9 @@ ParallelEngine::ParallelEngine(const ops5::Program& program,
       // not the requested bucket count: line_of() indexes the rounded
       // space, and a non-power-of-two request would otherwise leave lines
       // without locks.
-      pool_(network(), options_.match_vm ? &network().code() : nullptr,
-            options_.match_processes, make_pool_scheduler(options_),
-            left_table_.size(), options_.lock_scheme,
+      pool_(network(), options_.match_processes,
+            make_pool_scheduler(options_), left_table_.size(),
+            options_.lock_scheme,
             {{&world_, arenas_.data(), 0}},
             {options_.rr_record, options_.rr_faults, options_.obs}) {}
 

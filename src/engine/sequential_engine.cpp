@@ -22,7 +22,6 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
   world_.conflict_set = &cs_;
   ctx_.arena = &arena_;
   ctx_.stats = &ctl_.stats.match;
-  if (options_.match_vm) ctx_.code = &network().code();
 }
 
 void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {

@@ -1,6 +1,5 @@
 #include "match/kernel.hpp"
 
-#include "match/vm.hpp"
 #include "obs/metrics.hpp"
 
 namespace psme::match {
@@ -35,30 +34,10 @@ inline std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// Flushes one program run's op counts into the worker stats and the
-// optional activation cost.
-inline void count_vm_ops(MatchContext& ctx, const VmCounts& vc,
-                         ActivationCost* cost) {
-  ctx.stats->vm_loads += vc.loads;
-  ctx.stats->vm_tests += vc.tests;
-  ctx.stats->vm_branches += vc.branches;
-  if (cost) {
-    cost->vm_used = true;
-    cost->vm_loads += vc.loads;
-    cost->vm_tests += vc.tests;
-    cost->vm_branches += vc.branches;
-  }
-}
-
-// Do the left token and right wme satisfy the join's variable tests?
-// Compiled path (vc non-null): run the node's bytecode program
-// (docs/join-bytecode.md), accumulating op counts into *vc — the caller
-// flushes once per task, not per candidate. Fallback (vc null): interpret
-// eq_tests + preds directly (ctx.code unset, or hand-built join nodes
-// with no compiled program).
-bool join_tests_pass(MatchContext& ctx, const rete::JoinNode* j,
-                     const Token* t, const Wme* w, VmCounts* vc) {
-  if (vc) return vm_run(*ctx.code, j->vm_entry, w->fields.data(), t, *vc);
+// Do the left token and right wme satisfy the join's variable tests? A
+// straight walk over the node's compiled test arrays: equality tests
+// first (the hashed key), then the non-equality predicates.
+bool join_tests_pass(const rete::JoinNode* j, const Token* t, const Wme* w) {
   for (const rete::EqTest& eq : j->eq_tests) {
     if (!(t->wme_at(eq.tok_pos)->field(eq.tok_slot) == w->field(eq.wme_slot)))
       return false;
@@ -153,21 +132,13 @@ void process_root(MatchContext& ctx, WorldContext& world,
   if (!alphas) return;
   const Token* unit_token = nullptr;  // lazily built length-1 token
   const std::size_t out0 = out.size();
-  VmCounts vc;  // accumulated across the class's alpha programs
-  bool any_vm = false;
   for (const rete::AlphaProgram* prog : *alphas) {
     bool pass = true;
-    if (ctx.code && prog->vm_entry != rete::kNoProgram) {
-      pass = vm_run(*ctx.code, prog->vm_entry, wme->fields.data(),
-                    /*tok=*/nullptr, vc);
-      any_vm = true;
-    } else {
-      for (const rete::AlphaTest& t : prog->tests) {
-        if (cost) cost->alpha_tests += 1;
-        if (!rete::eval_alpha_test(t, wme->fields.data())) {
-          pass = false;
-          break;
-        }
+    for (const rete::AlphaTest& t : prog->tests) {
+      if (cost) cost->alpha_tests += 1;
+      if (!rete::eval_alpha_test(t, wme->fields.data())) {
+        pass = false;
+        break;
       }
     }
     if (!pass) continue;
@@ -197,7 +168,6 @@ void process_root(MatchContext& ctx, WorldContext& world,
       out.push_back(t);
     }
   }
-  if (any_vm) count_vm_ops(ctx, vc, cost);
   if (cost) cost->emissions += static_cast<std::uint32_t>(out.size() - out0);
 }
 
@@ -324,11 +294,6 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
   BucketPair b = resolve_buckets(ctx, world, task, update.hash);
   const int si = side_index(task.side());
   const Side side = task.side();
-  // One op-count accumulator per task: the probe loop runs the program
-  // per candidate, the stats flush happens once.
-  VmCounts vc;
-  VmCounts* vcp =
-      ctx.code && j->vm_entry != rete::kNoProgram ? &vc : nullptr;
 
   if (j->kind == rete::JoinKind::Positive) {
     std::uint32_t examined = 0;
@@ -338,13 +303,12 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
       if (!entry_of_node(ctx, e, j, update.hash)) continue;
       const Token* left = side == Side::Left ? task.token : e->token;
       const Wme* right = side == Side::Left ? e->wme : task.wme;
-      if (!join_tests_pass(ctx, j, left, right, vcp)) continue;
+      if (!join_tests_pass(j, left, right)) continue;
       const Token* extended = ctx.arena->make_token(left, right);
       emit_to_successors(ctx, task, j, extended, task.sign, out);
       ++pairs;
       if (cost) cost->emitted_wmes += extended->len;
     }
-    if (vcp) count_vm_ops(ctx, vc, cost);
     count_opp_examined(*ctx.stats, si, examined);
     count_bucket_chain(*ctx.stats, examined);
     ctx.stats->emissions += pairs;
@@ -364,9 +328,8 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
       for (Entry* e = bucket_first(*b.opp); e; e = bucket_next(*b.opp, e)) {
         ++examined;
         if (!entry_of_node(ctx, e, j, update.hash)) continue;
-        if (join_tests_pass(ctx, j, task.token, e->wme, vcp)) ++count;
+        if (join_tests_pass(j, task.token, e->wme)) ++count;
       }
-      if (vcp) count_vm_ops(ctx, vc, cost);
       count_opp_examined(*ctx.stats, si, examined);
       count_bucket_chain(*ctx.stats, examined);
       if (cost) cost->opp_examined += examined;
@@ -393,7 +356,7 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
   for (Entry* e = bucket_first(*b.opp); e; e = bucket_next(*b.opp, e)) {
     ++examined;
     if (!entry_of_node(ctx, e, j, update.hash)) continue;
-    if (!join_tests_pass(ctx, j, e->token, task.wme, vcp)) continue;
+    if (!join_tests_pass(j, e->token, task.wme)) continue;
     if (task.sign > 0) {
       const std::int32_t prev =
           e->neg_count.fetch_add(1, std::memory_order_relaxed);
@@ -412,7 +375,6 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
       }
     }
   }
-  if (vcp) count_vm_ops(ctx, vc, cost);
   count_opp_examined(*ctx.stats, si, examined);
   count_bucket_chain(*ctx.stats, examined);
   if (cost) cost->opp_examined += examined;

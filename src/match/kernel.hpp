@@ -8,7 +8,7 @@
 //
 // State is split along the world axis (src/world/):
 //  - MatchContext is per-WORKER: the memory strategy, the worker's token
-//    arena, its stats accumulator, and the shared compiled CodeStore.
+//    arena and its stats accumulator.
 //  - WorldContext is per-WORLD: the token memories (hash tables or list
 //    buckets) and the conflict set. Single-world engines own exactly one;
 //    the BatchEngine resolves one per task from Task::world.
@@ -45,8 +45,8 @@ namespace psme::match {
 enum class MemoryStrategy : std::uint8_t { List, Hash };  // vs1 / vs2
 
 // The mutable match state of one world: token memories + conflict set.
-// Everything a node activation writes lives here; the compiled network and
-// bytecode are shared read-only across all worlds.
+// Everything a node activation writes lives here; the compiled network is
+// shared read-only across all worlds.
 struct WorldContext {
   // Hash backend.
   HashTokenTable* left_table = nullptr;
@@ -57,33 +57,22 @@ struct WorldContext {
   ConflictSet* conflict_set = nullptr;
 };
 
-// Per-worker execution state. One per worker for stats/arena; the CodeStore
-// is immutable and shared.
+// Per-worker execution state: one per worker for stats/arena.
 struct MatchContext {
   MemoryStrategy strategy = MemoryStrategy::Hash;
   BumpArena* arena = nullptr;
   MatchStats* stats = nullptr;
-  // Compiled test programs (Network::code()); null runs the interpreted
-  // test walk instead (EngineOptions::match_vm off, hand-built networks).
-  const rete::CodeStore* code = nullptr;
 };
 
 // Cost facts of one activation, fed to the simulator's cost model.
 struct ActivationCost {
-  std::uint32_t alpha_tests = 0;
+  std::uint32_t alpha_tests = 0;   // alpha tests a root task evaluated
   std::uint32_t same_examined = 0;
   std::uint32_t opp_examined = 0;
   std::uint32_t emissions = 0;     // join pairs; a root's emitted tasks
   std::uint32_t key_slots = 0;     // compiled key slots read by the hash
   std::uint32_t emitted_wmes = 0;  // total flat-token wmes copied on emits
   bool hash_computed = false;
-  // Bytecode ops executed when the activation ran compiled programs
-  // (vm_used); the simulator then charges per op instead of per
-  // interpreted test (CostModel::vm_cost).
-  std::uint32_t vm_loads = 0;
-  std::uint32_t vm_tests = 0;
-  std::uint32_t vm_branches = 0;
-  bool vm_used = false;
 };
 
 // (node, equality-key) hash for a Join task, read through the join's

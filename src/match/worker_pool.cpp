@@ -164,12 +164,11 @@ void execute_task(MatchContext& ctx, WorldContext& world,
                terminals, ep, record, faults, trace);
 }
 
-WorkerPool::WorkerPool(const rete::Network& net, const rete::CodeStore* code,
-                       int workers, std::unique_ptr<Scheduler> sched,
+WorkerPool::WorkerPool(const rete::Network& net, int workers,
+                       std::unique_ptr<Scheduler> sched,
                        std::uint32_t lock_lines, LockScheme scheme,
                        std::vector<PoolWorld> worlds, Hooks hooks)
     : net_(net),
-      code_(code),
       sched_(std::move(sched)),
       locks_(lock_lines, scheme),
       worlds_(std::move(worlds)),
@@ -197,7 +196,6 @@ WorkerPool::Executor WorkerPool::make_executor(MatchStats* stats) const {
   Executor ex;
   ex.ctx.strategy = MemoryStrategy::Hash;
   ex.ctx.stats = stats;
-  ex.ctx.code = code_;
   return ex;
 }
 

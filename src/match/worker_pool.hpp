@@ -82,11 +82,10 @@ class WorkerPool {
 
   // Worker i uses scheduler endpoint i; the control thread uses
   // control_ep() == workers. Each PoolWorld needs an arena per endpoint,
-  // the control's included. `code` null runs the interpreted test walk.
-  WorkerPool(const rete::Network& net, const rete::CodeStore* code,
-             int workers, std::unique_ptr<Scheduler> sched,
-             std::uint32_t lock_lines, LockScheme scheme,
-             std::vector<PoolWorld> worlds, Hooks hooks);
+  // the control's included.
+  WorkerPool(const rete::Network& net, int workers,
+             std::unique_ptr<Scheduler> sched, std::uint32_t lock_lines,
+             LockScheme scheme, std::vector<PoolWorld> worlds, Hooks hooks);
   ~WorkerPool();
 
   Scheduler& scheduler() { return *sched_; }
@@ -139,7 +138,6 @@ class WorkerPool {
   void worker_main(unsigned ep);
 
   const rete::Network& net_;
-  const rete::CodeStore* code_;
   std::unique_ptr<Scheduler> sched_;
   LineLocks locks_;
   std::vector<PoolWorld> worlds_;

@@ -183,22 +183,6 @@ void Observability::export_run_stats(const RunStats& stats,
       .add(0, m.steal_overflow);
 
   registry
-      .counter(c("psme.vm.ops.load", "ops",
-                 "bytecode loads (lw/lt) executed by compiled test "
-                 "programs (docs/join-bytecode.md)"))
-      .add(0, m.vm_loads);
-  registry
-      .counter(c("psme.vm.ops.test", "ops",
-                 "bytecode tests (teq..tsamec, tmem) executed by compiled "
-                 "test programs"))
-      .add(0, m.vm_tests);
-  registry
-      .counter(c("psme.vm.ops.branch", "ops",
-                 "bytecode branches (jmp/pass/fail) executed by compiled "
-                 "test programs"))
-      .add(0, m.vm_branches);
-
-  registry
       .counter(c("psme.queue.probes", "probes",
                  "task-queue lock spin probes", "4-7"))
       .add(0, m.queue_probes);

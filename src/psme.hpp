@@ -11,7 +11,6 @@
 #include "engine/engine.hpp"        // IWYU pragma: export
 #include "obs/observability.hpp"    // IWYU pragma: export
 #include "ops5/program.hpp"         // IWYU pragma: export
-#include "rete/bytecode.hpp"        // IWYU pragma: export
 #include "rete/printer.hpp"         // IWYU pragma: export
 #include "workloads/workloads.hpp"  // IWYU pragma: export
 #include "world/batch_engine.hpp"   // IWYU pragma: export

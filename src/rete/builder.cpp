@@ -86,13 +86,6 @@ class Builder {
         j->right_key.push_back(eq.wme_slot);
       }
     }
-    // Compile every test sequence to register bytecode
-    // (docs/join-bytecode.md): one shared code arena for the network,
-    // constant tests folded, shared suffixes deduped across rules.
-    Encoder enc(&net_->code_);
-    for (auto& a : net_->alphas_) a->vm_entry = enc.encode_alpha(a->tests);
-    for (auto& j : net_->joins_)
-      j->vm_entry = enc.encode_join(j->eq_tests, j->preds);
     return std::move(net_);
   }
 

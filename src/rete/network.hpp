@@ -19,7 +19,6 @@
 #include "common/stats.hpp"
 #include "common/value.hpp"
 #include "ops5/ast.hpp"
-#include "rete/bytecode.hpp"
 
 namespace psme::rete {
 
@@ -61,9 +60,6 @@ struct AlphaProgram {
   std::vector<AlphaTest> tests;
   std::vector<AlphaDest> dests;
   std::vector<TerminalNode*> terminal_dests;  // single-CE productions
-  // Entry pc of the compiled test program in Network::code() (Builder
-  // post-pass); kNoProgram for hand-built networks.
-  std::uint32_t vm_entry = kNoProgram;
 };
 
 // Conceptual constant-test node tree, used for sharing statistics and the
@@ -129,9 +125,6 @@ struct JoinNode {
   std::vector<KeySlot> left_key;          // one per eq test, in test order
   std::vector<std::uint16_t> right_key;   // wme field slots, same order
   std::uint64_t hash_seed = 0;
-  // Entry pc of the compiled variable-test program (eq_tests + preds) in
-  // Network::code(); kNoProgram for hand-built networks.
-  std::uint32_t vm_entry = kNoProgram;
 
   // Partition metadata (src/shard/partition.hpp): a keyless join hashes
   // to hash_seed alone, so every activation of it lands on one shard —
@@ -175,9 +168,6 @@ class Network {
   }
   const ConstantTestNode* class_root(SymbolId cls) const;
   std::uint32_t num_list_memories() const { return num_list_memories_; }
-  // Compiled alpha/beta test programs (docs/join-bytecode.md), addressed
-  // by the nodes' vm_entry fields.
-  const CodeStore& code() const { return code_; }
   NetworkCounts counts() const;
 
  private:
@@ -189,7 +179,6 @@ class Network {
   std::vector<std::unique_ptr<ConstantTestNode>> ct_nodes_;
   std::unordered_map<SymbolId, ConstantTestNode*> ct_roots_;
   std::uint32_t num_list_memories_ = 0;
-  CodeStore code_;
 };
 
 // Runs one alpha test against a wme's fields (fields indexed by slot).

@@ -160,7 +160,6 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &s.w.arenas[0];
   ctx.stats = &s.w.stats.match;
-  ctx.code = options_.match_vm ? &net_.code() : nullptr;
   while (!s.w.inline_queue.empty()) {
     const match::Task task = s.w.inline_queue.front();
     s.w.inline_queue.pop_front();

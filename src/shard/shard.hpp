@@ -3,10 +3,10 @@
 // A ShardState owns the mutable match state of its partition for every
 // session: per-session working-memory replicas, token hash tables,
 // arenas and a local conflict set (the PR 7 World record, one per
-// session), all over the ONE shared compiled image — the Rete network,
-// its bytecode CodeStore — which is referenced, never copied. It speaks
-// psme.shard.v1 exclusively: handle() decodes a request batch, executes
-// it, and returns the reply batch. Nothing else touches a shard's state,
+// session), all over the ONE shared compiled image — the Rete network —
+// which is referenced, never copied. It speaks psme.shard.v1
+// exclusively: handle() decodes a request batch, executes it, and
+// returns the reply batch. Nothing else touches a shard's state,
 // so the same object runs unchanged behind the in-process transport (its
 // own thread) and the socket transport (its own forked process).
 //

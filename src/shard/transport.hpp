@@ -16,7 +16,7 @@
 //    whole interface, exactly as if a wire separated them.
 //  - SocketTransport: one forked child process per shard over a
 //    socketpair, [u32 length]-framed. fork() after the shared compiled
-//    image is built means the network/bytecode/symbol ids are inherited
+//    image is built means the network/symbol ids are inherited
 //    copy-on-write and stay pointer-identical in the child — true
 //    shared-nothing execution with zero serialization of the program.
 //

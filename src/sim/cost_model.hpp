@@ -65,20 +65,6 @@ struct CostModel {
   VTime mrsw_enter = 18;               // flag+counter manipulation (lock 1)
   VTime mrsw_modification = 8;         // lock 2 handshake
 
-  // Register-bytecode VM (rete/bytecode.hpp, docs/join-bytecode.md):
-  // per-op charges used when an activation ran compiled test programs.
-  // Defaults are calibrated to reproduce the old per-test charges: a
-  // constant alpha test compiles to lw + teqc = vm_load + vm_test = 3,
-  // the paper's alpha_test; a disjunction to lw + tmem = 3.
-  VTime vm_load = 1;    // lw / lt: one indexed field read into a register
-  VTime vm_test = 2;    // any test op: compare + conditional exit
-  VTime vm_branch = 1;  // jmp / pass / fail: dispatch + pc update
-  // Opposite-memory walk per examined candidate when the VM prices the
-  // comparisons itself: pointer chase + (node,key) prefilter only. The
-  // old flat join_per_examined=3 bundled this walk with a typical
-  // one-test interpreted compare, which the VM ops now charge exactly.
-  VTime join_per_examined_vm = 1;
-
   // Terminal nodes / conflict set.
   VTime terminal_update = 90;
 
@@ -120,19 +106,13 @@ struct CostModel {
   }
 
   // --- per-activation charges, shared by SimEngine, the parallelism
-  // profiler and the shard tier so all three price a task identically.
-  // Each reads the activation's ActivationCost and charges per bytecode
-  // op when it ran compiled programs (vm_used), per interpreted test
-  // otherwise. ----------------------------------------------------------
-  VTime vm_cost(const match::ActivationCost& ac) const {
-    return vm_load * ac.vm_loads + vm_test * ac.vm_tests +
-           vm_branch * ac.vm_branches;
-  }
+  // profiler and the shard tier so all three price a task identically,
+  // from the activation's ActivationCost: alpha_test per test evaluated,
+  // join_per_examined per opposite-memory candidate. -------------------
   // `emitted` is the number of tasks the root task emitted.
   VTime root_charge(const match::ActivationCost& ac,
                     std::size_t emitted) const {
-    return root_base +
-           (ac.vm_used ? vm_cost(ac) : alpha_test * ac.alpha_tests) +
+    return root_base + alpha_test * ac.alpha_tests +
            alpha_emit * static_cast<VTime>(emitted);
   }
   VTime join_update_charge(const match::ActivationCost& ac, int sign) const {
@@ -142,9 +122,7 @@ struct CostModel {
                            mem_delete_per_examined * ac.same_examined);
   }
   VTime join_probe_charge(const match::ActivationCost& ac) const {
-    return join_probe_base +
-           (ac.vm_used ? join_per_examined_vm * ac.opp_examined + vm_cost(ac)
-                       : join_per_examined * ac.opp_examined) +
+    return join_probe_base + join_per_examined * ac.opp_examined +
            join_per_emission * ac.emissions + emit_per_wme * ac.emitted_wmes;
   }
 };

@@ -112,9 +112,9 @@ SimEngine::SimEngine(const ops5::Program& program, EngineOptions options,
       arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0)) +
               1),
       // Lock count follows the table's rounded (power-of-two) line count.
-      pool_(network(), options_.match_vm ? &network().code() : nullptr,
-            options_.match_processes, make_sim_scheduler(options_, config_),
-            left_table_.size(), options_.lock_scheme,
+      pool_(network(), options_.match_processes,
+            make_sim_scheduler(options_, config_), left_table_.size(),
+            options_.lock_scheme,
             {{&world_, arenas_.data(), 0}},
             {options_.rr_record, options_.rr_faults, options_.obs}) {}
 

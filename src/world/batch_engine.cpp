@@ -24,7 +24,6 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
         "set_digest_capture for per-world digests");
   if (options_.match_processes < 0)
     throw std::invalid_argument("BatchEngine: negative match_processes");
-  if (options_.match_vm) code_ = &network().code();
   if (options_.match_processes > 0) {
     // Shared lock space across worlds: at least the per-world line count,
     // widened up to 8x as worlds grow so same-bucket-different-world
@@ -42,7 +41,7 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
                         static_cast<std::uint32_t>(h >> 32) & (locks - 1)});
     }
     workers_ = std::make_unique<match::WorkerPool>(
-        network(), code_, options_.match_processes,
+        network(), options_.match_processes,
         match::make_scheduler(
             options_.scheduler.value_or(kThreadedScheduler),
             options_.task_queues, options_.match_processes + 1,
@@ -76,7 +75,6 @@ void BatchEngine::submit_change(World& w, const Wme* wme, std::int8_t sign) {
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &w.arenas[0];
   ctx.stats = &w.stats.match;
-  ctx.code = code_;
   w.inline_queue.push_back(root);
   match::drain_fifo(ctx, w.ctx, network(), w.inline_queue, w.emit_buf);
 }

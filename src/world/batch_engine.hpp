@@ -4,8 +4,8 @@
 // a single BatchEngine owns a WorldPool and feeds the existing Scheduler
 // interface a (world, task) stream. Tasks from different worlds interleave
 // freely — a worker that pops world 7's join activation and then world 31's
-// runs the same compiled join bytecode back to back, so dispatch overhead
-// amortizes and the shared CodeStore stays cache-warm across worlds.
+// runs the same compiled join tests back to back, so dispatch overhead
+// amortizes and the shared network stays cache-warm across worlds.
 //
 // Execution modes (EngineOptions::match_processes):
 //  - 0 (inline): match drains on the calling thread, per world. Different
@@ -108,7 +108,6 @@ class BatchEngine final : public SessionBackend {
 
   EngineOptions options_;
   WorldPool pool_;
-  const rete::CodeStore* code_ = nullptr;
   bool digest_capture_ = false;
   MatchStats batch_match_stats_;
   // Threaded mode (match_processes > 0) only. Declared after the worlds

@@ -3,10 +3,9 @@
 //
 // A World is the complete mutable state of one session: its working
 // memory, conflict set, token hash tables, firing trace, and a token
-// arena per scheduler endpoint. Everything read-only — the Rete network,
-// the bytecode CodeStore, the compiled RHS programs — lives once in the
-// WorldPool and is shared by every world, so N sessions cost N× state,
-// not N× program.
+// arena per scheduler endpoint. Everything read-only — the Rete network
+// and the compiled RHS programs — lives once in the WorldPool and is
+// shared by every world, so N sessions cost N× state, not N× program.
 //
 // Memory layout: world w's arenas are arenas[0..endpoints-1], where
 // endpoint e is match worker e (the control thread is the last endpoint).
@@ -79,7 +78,7 @@ void reset_world_state(World& w, const ops5::Program& program,
                        const EngineOptions& options, int endpoints);
 
 // Owns N worlds plus the single shared compiled image (ProgramImage: one
-// Rete network with its bytecode CodeStore, one compiled-RHS vector),
+// Rete network, one compiled-RHS vector),
 // built once however many worlds exist.
 class WorldPool {
  public:

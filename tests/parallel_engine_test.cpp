@@ -292,7 +292,7 @@ class ParallelEngineTerminals : public ::testing::Test {
       pw.push_back({&worlds_.back()->ctx, worlds_.back()->arenas.data(), 0});
     }
     pool_ = std::make_unique<match::WorkerPool>(
-        *net_, &net_->code(), kWorkers,
+        *net_, kWorkers,
         match::make_scheduler(match::SchedulerKind::Steal, 1, kWorkers + 1,
                               match::WsDeque::kDefaultCapacity),
         64, match::LockScheme::Simple, std::move(pw),

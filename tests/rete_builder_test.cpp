@@ -1,8 +1,11 @@
-// Network construction: structure, sharing (the paper's Figure 2-2), and
-// test compilation.
+// Network construction: structure, sharing (the paper's Figure 2-2), test
+// compilation, and the OPS5 semantics of the alpha tests the match kernel
+// walks (eval_alpha_test).
 #include "rete/builder.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/symbol_table.hpp"
 #include "rete/printer.hpp"
@@ -164,6 +167,103 @@ TEST(RetePrinter, RendersWithoutCrashing) {
   EXPECT_NE(out.find("(negative)"), std::string::npos);
   EXPECT_NE(out.find("p:p1"), std::string::npos);
   EXPECT_NE(out.find("counts:"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Alpha-test semantics: the edge cases a test list must get right when the
+// kernel walks it in place (no build-time folding).
+
+AlphaTest const_test(std::uint16_t slot, ops5::PredOp op, Value v) {
+  AlphaTest t;
+  t.kind = AlphaTestKind::ConstPred;
+  t.slot = slot;
+  t.op = op;
+  t.constant = v;
+  return t;
+}
+
+AlphaTest slot_test(std::uint16_t slot, ops5::PredOp op,
+                    std::uint16_t other) {
+  AlphaTest t;
+  t.kind = AlphaTestKind::SlotPred;
+  t.slot = slot;
+  t.op = op;
+  t.other_slot = other;
+  return t;
+}
+
+AlphaTest disj_test(std::uint16_t slot, std::vector<Value> vs) {
+  AlphaTest t;
+  t.kind = AlphaTestKind::Disjunction;
+  t.slot = slot;
+  t.disjuncts = std::move(vs);
+  return t;
+}
+
+// Does `v`, placed in every slot of a 4-field wme, pass every test?
+bool all_pass(const std::vector<AlphaTest>& tests, const Value& v) {
+  const Value fields[4] = {v, v, v, v};
+  for (const AlphaTest& t : tests)
+    if (!eval_alpha_test(t, fields)) return false;
+  return true;
+}
+
+// One value of each OPS5 kind, numbers of both representations.
+std::vector<Value> probe_values() {
+  return {Value::nil(),       sym("red"),        sym("blue"),
+          Value::integer(2),  Value::integer(-7), Value::real(2.0),
+          Value::real(0.5)};
+}
+
+TEST(Folding, EmptyDisjunctionIsAlwaysFalse) {
+  for (const Value& v : probe_values())
+    EXPECT_FALSE(all_pass({disj_test(0, {})}, v));
+}
+
+TEST(Folding, SingleArmDisjunctionBecomesConstEq) {
+  const AlphaTest disj = disj_test(2, {sym("red"), sym("red")});
+  const AlphaTest eq = const_test(2, ops5::PredOp::Eq, sym("red"));
+  for (const Value& v : probe_values())
+    EXPECT_EQ(all_pass({disj}, v), all_pass({eq}, v));
+  EXPECT_TRUE(all_pass({disj}, sym("red")));
+}
+
+TEST(Folding, SameSlotPredicates) {
+  for (const Value& v : probe_values()) {
+    // x = x and x <=> x always hold.
+    EXPECT_TRUE(all_pass({slot_test(1, ops5::PredOp::Eq, 1)}, v));
+    EXPECT_TRUE(all_pass({slot_test(1, ops5::PredOp::SameType, 1)}, v));
+    // x <> x, x < x, x > x never hold.
+    EXPECT_FALSE(all_pass({slot_test(1, ops5::PredOp::Ne, 1)}, v));
+    EXPECT_FALSE(all_pass({slot_test(1, ops5::PredOp::Lt, 1)}, v));
+    EXPECT_FALSE(all_pass({slot_test(1, ops5::PredOp::Gt, 1)}, v));
+  }
+  // x <= x means "x is a number" in OPS5.
+  const AlphaTest le = slot_test(1, ops5::PredOp::Le, 1);
+  Value num[2] = {Value::nil(), Value::integer(4)};
+  Value real[2] = {Value::nil(), Value::real(0.5)};
+  Value symv[2] = {Value::nil(), sym("a")};
+  Value nil[2] = {Value::nil(), Value::nil()};
+  EXPECT_TRUE(eval_alpha_test(le, num));
+  EXPECT_TRUE(eval_alpha_test(le, real));
+  EXPECT_FALSE(eval_alpha_test(le, symv));
+  EXPECT_FALSE(eval_alpha_test(le, nil));
+}
+
+TEST(Folding, ContradictoryConstantsAreAlwaysFalse) {
+  const std::vector<AlphaTest> ab = {
+      const_test(3, ops5::PredOp::Eq, sym("a")),
+      const_test(3, ops5::PredOp::Eq, sym("b"))};
+  for (const Value& v : probe_values()) EXPECT_FALSE(all_pass(ab, v));
+  EXPECT_FALSE(all_pass(ab, sym("a")));
+  EXPECT_FALSE(all_pass(ab, sym("b")));
+  // Int 2 and float 2.0 are OPS5-equal: NOT a contradiction.
+  const std::vector<AlphaTest> two = {
+      const_test(3, ops5::PredOp::Eq, Value::integer(2)),
+      const_test(3, ops5::PredOp::Eq, Value::real(2.0))};
+  EXPECT_TRUE(all_pass(two, Value::integer(2)));
+  EXPECT_TRUE(all_pass(two, Value::real(2.0)));
+  EXPECT_FALSE(all_pass(two, Value::integer(3)));
 }
 
 }  // namespace

@@ -218,8 +218,8 @@ TEST(ShardEquivalence, TourneyKeylessMatrixMatchesSequential) {
 }
 
 TEST(ShardEquivalence, ShardCountIsBehaviorInvisible) {
-  // 1, 2 and 8 shards over the bytecode VM path: the partition (and the
-  // compiled-key routing underneath it) must not change any digest row.
+  // 1, 2 and 8 shards: the partition (and the compiled-key routing
+  // underneath it) must not change any digest row.
   const auto wl = workloads::rubik(6);
   const auto program = ops5::Program::from_source(wl.source);
   std::vector<SessionRef> refs;
@@ -228,7 +228,6 @@ TEST(ShardEquivalence, ShardCountIsBehaviorInvisible) {
   for (const std::uint16_t shards : {1, 2, 8}) {
     EngineOptions opt;
     opt.hash_buckets = 64;
-    opt.match_vm = true;
     ShardGroupConfig cfg;
     cfg.shards = shards;
     cfg.sessions = 8;

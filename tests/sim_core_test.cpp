@@ -1,11 +1,18 @@
 // Unit tests for the discrete-event substrate: fiber ordering by virtual
 // clock, real spin locks probed in virtual time, sleep/wake, and the
-// match::Machine the executor charges.
+// match::Machine the executor charges, and the cost model's pricing of
+// kernel activations.
 #include "sim/sim_core.hpp"
 
 #include <gtest/gtest.h>
 
+#include "analysis/parallelism.hpp"
 #include "common/spinlock.hpp"
+#include "common/symbol_table.hpp"
+#include "match/kernel.hpp"
+#include "rete/builder.hpp"
+#include "runtime/working_memory.hpp"
+#include "sim/cost_model.hpp"
 
 namespace psme::sim {
 namespace {
@@ -219,6 +226,89 @@ TEST(SimCostModel, SecondsConversion) {
   EXPECT_DOUBLE_EQ(cm.to_seconds(0), 0.0);
   cm.mips = 7.5;
   EXPECT_DOUBLE_EQ(cm.to_seconds(750000), 0.1);
+}
+
+// One root activation and one join probe of a two-CE rule, run through the
+// kernel with an ActivationCost, then through an engine: the root is
+// priced per alpha test it evaluated and the probe per opposite-memory
+// candidate it examined, at the paper's 3 instructions each (Section 3.1).
+TEST(SimCostModel, ActivationChargesUseThePapersPerTestPrice) {
+  const auto program = ops5::Program::from_source(R"(
+(literalize a x c d)
+(literalize b y)
+(p pair (a ^x <v> ^c red ^d 3) (b ^y <v>) --> (halt))
+)");
+  const auto net = rete::build_network(program);
+  WorkingMemory wm(program);
+  ConflictSet cs(program);
+  match::HashTokenTable left(64), right(64);
+  match::BumpArena arena;
+  MatchStats stats;
+  match::MatchContext ctx;
+  ctx.arena = &arena;
+  ctx.stats = &stats;
+  match::WorldContext world;
+  world.left_table = &left;
+  world.right_table = &right;
+  world.conflict_set = &cs;
+  auto root = [](const Wme* w) {
+    match::Task t;
+    t.kind = match::TaskKind::Root;
+    t.sign = +1;
+    t.wme = w;
+    return t;
+  };
+
+  // Seed the right memory with one matching b.
+  std::vector<match::Task> out;
+  match::process_root(ctx, world, *net,
+                      root(wm.make(intern("b"), {Value::integer(1)})), out);
+  ASSERT_EQ(out.size(), 1u);
+  const match::Task right_act = out[0];
+  match::process_join(ctx, world, right_act, out);
+
+  const CostModel cm;
+  EXPECT_EQ(cm.alpha_test, 3u);
+  EXPECT_EQ(cm.join_per_examined, 3u);
+
+  out.clear();
+  match::ActivationCost rc;
+  match::process_root(
+      ctx, world, *net,
+      root(wm.make(intern("a"),
+                   {Value::integer(1), sym("red"), Value::integer(3)})),
+      out, &rc);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(rc.alpha_tests, 2u);  // ^c red, ^d 3
+  EXPECT_EQ(cm.root_charge(rc, out.size()),
+            cm.root_base + cm.alpha_test * rc.alpha_tests +
+                cm.alpha_emit * out.size());
+
+  const match::Task left_act = out[0];
+  out.clear();
+  match::ActivationCost jc;
+  match::process_join(ctx, world, left_act, out, &jc);
+  ASSERT_EQ(out.size(), 1u);  // the pair reaches the terminal
+  EXPECT_EQ(jc.opp_examined, 1u);
+  EXPECT_EQ(jc.emissions, 1u);
+  EXPECT_EQ(cm.join_probe_charge(jc),
+            cm.join_probe_base + cm.join_per_examined * jc.opp_examined +
+                cm.join_per_emission * jc.emissions +
+                cm.emit_per_wme * jc.emitted_wmes);
+
+  // The same two wmes through an engine (the parallelism profiler prices
+  // each task it runs): five tasks, two alpha tests, one examined
+  // candidate, one pair of two wmes.
+  const analysis::ParallelismProfile prof = analysis::profile_parallelism(
+      program, {"(b ^y 1)", "(a ^x 1 ^c red ^d 3)"}, cm);
+  EXPECT_EQ(prof.total_tasks, 5u);
+  EXPECT_EQ(prof.total_work,
+            5 * cm.task_dispatch + 2 * cm.root_base + 2 * cm.alpha_test +
+                2 * cm.alpha_emit +
+                2 * (cm.hash_base + cm.hash_per_slot + cm.mem_insert) +
+                2 * cm.join_probe_base + cm.join_per_examined +
+                cm.join_per_emission + 2 * cm.emit_per_wme +
+                cm.terminal_update);
 }
 
 }  // namespace

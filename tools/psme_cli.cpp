@@ -17,8 +17,8 @@
 //                    (threads/sim/worlds kernels)
 //   --strategy {lex|mea}
 //   --worlds N       run N independent copies of the program as world
-//                    slots of one world::BatchEngine (shared Rete network
-//                    + bytecode, per-world working memory); prints a
+//                    slots of one world::BatchEngine (shared Rete
+//                    network, per-world working memory); prints a
 //                    per-world stop summary. Sequential-kernel modes only.
 //   --shards N       partition the match across N shared-nothing shards
 //                    of a shard::ShardGroup speaking psme.shard.v1
@@ -34,8 +34,6 @@
 //                    replicate its wme-side memory to all shards so
 //                    probes stay local (default replicate). Needs
 //                    --shards.
-//   --no-vm          interpret the join tests instead of running the
-//                    compiled register bytecode (A/B comparison)
 //   --seed S         workload seed: selects --workload random's program and
 //                    is stamped into EngineOptions for record/replay
 //   --wm "(class ^attr value ...)"      add an initial wme (repeatable)
@@ -43,8 +41,6 @@
 //   --cycles N       recognize-act cycle cap (default 100000)
 //   --watch N        0 silent, 1 firings, 2 + wm changes
 //   --network        print the compiled Rete network and exit
-//   --dump-bytecode  print the disassembled register-bytecode test
-//                    programs (docs/join-bytecode.md) and exit
 //   --analyze        static culprit analysis + intrinsic-parallelism
 //                    profile (runs the program once), then exit
 //   --dump-source    print the program source and exit (workloads)
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   std::string wmfile;
   std::string metrics_path, trace_path;
   bool print_net = false, dump_source = false, print_stats = false;
-  bool dump_bytecode = false;
   bool analyze = false;
   std::uint32_t worlds = 0;
   std::uint16_t shards = 0;
@@ -163,9 +158,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(std::stoul(next()));
     else if (arg == "--transport") transport = next();
     else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
-    else if (arg == "--no-vm") config.options.match_vm = false;
     else if (arg == "--network") print_net = true;
-    else if (arg == "--dump-bytecode") dump_bytecode = true;
     else if (arg == "--analyze") analyze = true;
     else if (arg == "--dump-source") dump_source = true;
     else if (arg == "--stats") print_stats = true;
@@ -193,8 +186,6 @@ int main(int argc, char** argv) {
   } else {
     usage("unknown mode");
   }
-  if (dump_bytecode && !config.options.match_vm)
-    usage("--dump-bytecode needs the bytecode VM; drop --no-vm");
   if (worlds > 0 && config.mode != psme::ExecutionMode::Sequential)
     usage("--worlds runs on the shared match kernel (seq/vs2 mode only)");
   if (shards > 0 && config.mode != psme::ExecutionMode::Sequential)
@@ -243,11 +234,6 @@ int main(int argc, char** argv) {
   if (print_net) {
     const auto net = psme::rete::build_network(program);
     std::cout << psme::rete::print_network(*net, program);
-    return 0;
-  }
-  if (dump_bytecode) {
-    const auto net = psme::rete::build_network(program);
-    std::cout << psme::rete::disassemble_network(*net, program);
     return 0;
   }
   if (analyze) {

@@ -279,22 +279,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bytecode-VM op mix: how many loads/tests/branches the compiled test
-  // programs executed (absent in dumps recorded with --no-vm or from
-  // builds that predate the VM).
-  {
-    const auto loads = mv.find("psme.vm.ops.load");
-    const auto tests = mv.find("psme.vm.ops.test");
-    const auto branches = mv.find("psme.vm.ops.branch");
-    if (loads != mv.end() && tests != mv.end() && branches != mv.end() &&
-        loads->second + tests->second + branches->second > 0) {
-      std::printf("\nbytecode vm:\n");
-      std::printf("  loads    %12.0f\n", loads->second);
-      std::printf("  tests    %12.0f\n", tests->second);
-      std::printf("  branches %12.0f\n", branches->second);
-    }
-  }
-
   // Sharded-match interconnect summary (docs/sharding.md): present only
   // in dumps from `psme_cli --shards --metrics-json` / ShardGroup::
   // export_obs. Virtual times are in simulated instructions (CostModel);
