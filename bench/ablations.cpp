@@ -3,7 +3,9 @@
 //
 //  A. Gupta's hardware task scheduler (Section 3.2) vs software queues.
 //  B. Overlapping conflict resolution with match (footnote 3).
-//  C. Token hash-table size: line count vs contention and speed-up.
+//  C. Token hash-table size: line count vs contention and speed-up in the
+//     simulator, and vs the sequential engine's wall-clock match time and
+//     line collisions (the trade-off behind kHashBuckets).
 //  D. Pipelining RHS evaluation with match (the reason Table 4-5's "1+1"
 //     column can exceed 1.0).
 #include "bench_common.hpp"
@@ -29,6 +31,23 @@ SimOutcome run_cfg(const ProgramSpec& spec, int procs, int queues,
   eng.run();
   return {eng.sim_match_seconds(), eng.sim_total_seconds(),
           eng.match_stats()};
+}
+
+// One sequential run at `lines` buckets per side: wall-clock match ms and
+// line collisions per node activation.
+std::pair<double, double> run_seq_lines(const ProgramSpec& spec,
+                                        const ops5::Program& program,
+                                        std::uint32_t lines) {
+  EngineOptions opt;
+  opt.max_cycles = 10'000'000;
+  opt.hash_buckets = lines;
+  SequentialEngine eng(program, opt);
+  workloads::load(eng, spec.workload);
+  const RunStats& st = eng.run().stats;
+  return {st.match_seconds * 1e3,
+          static_cast<double>(st.match.line_collisions) /
+              static_cast<double>(std::max<std::uint64_t>(
+                  st.match.node_activations, 1))};
 }
 
 }  // namespace
@@ -100,6 +119,45 @@ int main() {
   std::printf(
       "\nMore lines dilute collision-induced contention, but cross-product\n"
       "nodes (Tourney) still map every token to one line regardless.\n");
+
+  // The same knob on real hardware: one-line buckets make every doubling
+  // of the line count cost 64 B per line per side, and halve the foreign
+  // residents a probe skips. Trials rotate through the line counts so
+  // host drift lands on every column alike.
+  const std::uint32_t wall_lines[] = {512u, 1024u, 2048u, 4096u};
+  const int trials = fast_mode() ? 3 : 9;
+  std::printf(
+      "\nWall clock, sequential engine on this host: median match ms (MAD)\n"
+      "and line collisions per activation, %d trials each\n\n",
+      trials);
+  std::printf("%-10s |", "PROGRAM");
+  for (const std::uint32_t lines : wall_lines)
+    std::printf("      %5u lines       ", lines);
+  std::printf("\n%-10s |", "");
+  for (int i = 0; i < 4; ++i) std::printf("      ms  (MAD)  coll/a ");
+  std::printf("\n");
+  for (const auto& spec : specs) {
+    const auto program = ops5::Program::from_source(spec.workload.source);
+    std::vector<double> ms[4];
+    double coll[4] = {};
+    for (int t = 0; t < trials; ++t) {
+      for (int i = 0; i < 4; ++i) {
+        const auto [run_ms, per_act] =
+            run_seq_lines(spec, program, wall_lines[i]);
+        ms[i].push_back(run_ms);
+        coll[i] = per_act;  // deterministic: the same every trial
+      }
+    }
+    std::printf("%-10s |", spec.label.c_str());
+    for (int i = 0; i < 4; ++i)
+      std::printf(" %7.2f (%5.2f) %6.2f ", median(ms[i]), mad(ms[i]),
+                  coll[i]);
+    std::printf("\n");
+  }
+  std::printf(
+      "\nThe wall-clock engines default to 1024 lines (kHashBuckets), the\n"
+      "bytes of the old 512 two-line buckets; docs/memory-layout.md says why\n"
+      "the count stops there.\n");
 
   print_header("Ablation D: pipelining RHS evaluation with match",
                "Section 3.1 / Table 4-5's 1+1 > 1.0 columns");

@@ -68,6 +68,7 @@ inline SeqOutcome run_sequential(const ProgramSpec& spec,
   EngineOptions opt;
   opt.memory = memory;
   opt.max_cycles = 10'000'000;
+  opt.hash_buckets = kSimHashBuckets;  // Tables 4-1 to 4-4's table size
   SequentialEngine eng(program, opt);
   workloads::load(eng, spec.workload);
   const RunResult r = eng.run();

@@ -5,9 +5,9 @@
 // harness (no google-benchmark) timing the threaded engine on chain-join
 // programs whose tokens grow to the requested depth. `--sweep --json FILE`
 // writes psme.bench.v1 rows; BENCH_kernel_seed.json at the repo root is
-// the committed fast-mode baseline (recorded on the pre-flat-token
-// layout) and BENCH_vm_seed.json the one recorded under the since-deleted
-// bytecode VM; CI diffs against both via tools/check_bench_regression.py.
+// the committed fast-mode baseline (RelWithDebInfo, the threaded engine at
+// its default table size); CI diffs against it via
+// tools/check_bench_regression.py.
 #include <benchmark/benchmark.h>
 
 #include <cstring>

@@ -20,8 +20,8 @@ class ProfilingEngine : public EngineBase {
                   const CostModel& cost)
       : EngineBase(program, options),
         cost_(cost),
-        left_table_(options.hash_buckets),
-        right_table_(options.hash_buckets),
+        left_table_(options.hash_buckets.value_or(kSimHashBuckets)),
+        right_table_(options.hash_buckets.value_or(kSimHashBuckets)),
         line_work_(left_table_.size(), 0) {
     ctx_.strategy = match::MemoryStrategy::Hash;
     world_.left_table = &left_table_;

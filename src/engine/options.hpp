@@ -33,6 +33,15 @@ inline constexpr match::SchedulerKind kThreadedScheduler =
 inline constexpr match::SchedulerKind kSimScheduler =
     match::SchedulerKind::Central;
 
+// Per-engine defaults for an unset EngineOptions::hash_buckets. The
+// wall-clock engines (sequential, threads, worlds, and so serve sessions
+// and shards) get 1024 one-line buckets, 64 KiB per side: twice the lines
+// of the paper-table size in the same bytes, so a probe skips half as many
+// foreign entries. The simulator and the dataflow profiler keep 512, the
+// size their virtual-time rows were recorded at (docs/memory-layout.md).
+inline constexpr std::uint32_t kHashBuckets = 1024;
+inline constexpr std::uint32_t kSimHashBuckets = 512;
+
 struct EngineOptions {
   // vs1 (per-node linear lists) or vs2/parallel (global hash tables).
   match::MemoryStrategy memory = match::MemoryStrategy::Hash;
@@ -54,8 +63,10 @@ struct EngineOptions {
   std::optional<match::SchedulerKind> scheduler;
   std::uint32_t steal_deque_capacity = match::WsDeque::kDefaultCapacity;
 
-  // Token hash tables: number of buckets per side (power of two).
-  std::uint32_t hash_buckets = 512;
+  // Token hash tables: number of buckets per side (rounded up to a power
+  // of two). Unset means the engine's own default: kHashBuckets on the
+  // wall-clock engines, kSimHashBuckets in the simulator and profiler.
+  std::optional<std::uint32_t> hash_buckets;
 
   // Multi-world batching (src/world/): number of independent worlds a
   // world::BatchEngine hosts. 0 = not batching (the single-world Engine

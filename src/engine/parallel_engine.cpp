@@ -32,8 +32,8 @@ std::unique_ptr<match::Scheduler> make_pool_scheduler(
 ParallelEngine::ParallelEngine(const ops5::Program& program,
                                EngineOptions options)
     : EngineBase(program, options),
-      left_table_(options_.hash_buckets),
-      right_table_(options_.hash_buckets),
+      left_table_(options_.hash_buckets.value_or(kHashBuckets)),
+      right_table_(options_.hash_buckets.value_or(kHashBuckets)),
       world_{&left_table_, &right_table_, nullptr, &cs_},
       arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0)) +
               1),

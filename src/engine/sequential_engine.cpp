@@ -9,9 +9,9 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
     : EngineBase(program, options) {
   ctx_.strategy = options_.memory;
   if (options_.memory == match::MemoryStrategy::Hash) {
-    left_table_ = std::make_unique<match::HashTokenTable>(options_.hash_buckets);
-    right_table_ =
-        std::make_unique<match::HashTokenTable>(options_.hash_buckets);
+    const std::uint32_t buckets = options_.hash_buckets.value_or(kHashBuckets);
+    left_table_ = std::make_unique<match::HashTokenTable>(buckets);
+    right_table_ = std::make_unique<match::HashTokenTable>(buckets);
     world_.left_table = left_table_.get();
     world_.right_table = right_table_.get();
   } else {

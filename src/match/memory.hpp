@@ -10,10 +10,11 @@
 //    the same line by construction, so per-line locks serialize exactly the
 //    work that conflicts.
 //
-// Cache-line layout: an Entry fills exactly one 64-byte line, and every
-// Bucket carries a one-entry inline *fast slot* — the common case of one
-// resident token per (node, key) probes a single line and allocates no heap
-// Entry. Buckets are 64-byte aligned so adjacent lines never false-share.
+// Cache-line layout: a Bucket is one 64-byte line holding a one-entry
+// inline *fast slot* (48 B) plus its two chain heads — the common case of
+// one resident token per (node, key) probes a single line and allocates no
+// heap Entry. Buckets are 64-byte aligned so adjacent lines never
+// false-share, and the arena gives each chain Entry a line of its own.
 //
 // Every bucket carries an extra-deletes chain holding `-` tokens that
 // arrived before their `+` partner (conjugate pairs, Section 3.2).
@@ -37,7 +38,7 @@ namespace psme::match {
 // extra-deletes chain. Left entries reference a Token, right entries a Wme.
 // `neg_count` is the number of matching right wmes for a negative node's
 // left entry.
-struct alignas(64) Entry {
+struct Entry {
   Entry* next = nullptr;
   const Token* token = nullptr;
   const Wme* wme = nullptr;
@@ -52,15 +53,14 @@ struct alignas(64) Entry {
   // same-line insert overwrites them.
   std::uint8_t live = 0;
 };
-static_assert(sizeof(Entry) == 64, "Entry must fill exactly one cache line");
+static_assert(sizeof(Entry) == 48, "fast slot and two chain heads fill a line");
 
 struct alignas(64) Bucket {
-  Entry fast;                      // inline fast slot (line 1)
-  Entry* head = nullptr;           // overflow chain (line 2)
+  Entry fast;                      // inline fast slot
+  Entry* head = nullptr;           // overflow chain
   Entry* extra_deletes = nullptr;  // parked `-` tokens awaiting their `+`
 };
-static_assert(sizeof(Bucket) == 128,
-              "fast slot on its own line, chains on the next");
+static_assert(sizeof(Bucket) == 64, "a bucket is one cache line");
 static_assert(alignof(Bucket) == 64, "buckets must not share cache lines");
 
 // Read-only traversal over a bucket's resident entries: the fast slot
@@ -137,8 +137,12 @@ class alignas(64) BumpArena {
     dst[len - 1] = wme;
     return t;
   }
+  // Each chain entry gets a 64-byte line of its own, so the `neg_count`
+  // one match process updates never false-shares with a neighbour.
   Entry* make_entry() {
-    Entry* e = alloc<Entry>();
+    static_assert(sizeof(Entry) <= kLine && kLine <= kMaxAlign);
+    static_assert(std::is_trivially_destructible_v<Entry>);
+    Entry* e = new (alloc_raw(kLine, kLine)) Entry();
     e->live = 1;
     return e;
   }
@@ -171,19 +175,12 @@ class alignas(64) BumpArena {
   }
 
   static constexpr std::size_t kBlockSize = 1u << 16;
+  static constexpr std::size_t kLine = 64;
   // Worst case a fresh block starts `align - 1` bytes past alignment.
   static constexpr std::size_t kMaxAlign = 64;
   static constexpr std::size_t kMaxAlloc = kBlockSize - kMaxAlign;
 
  private:
-  template <typename T>
-  T* alloc() {
-    static_assert(std::is_trivially_destructible_v<T>);
-    static_assert(sizeof(T) <= kMaxAlloc, "type larger than an arena block");
-    static_assert(alignof(T) <= kMaxAlign);
-    return new (alloc_raw(sizeof(T), alignof(T))) T();
-  }
-
   void* alloc_raw(std::size_t size, std::size_t align) {
     assert(size <= kMaxAlloc && align <= kMaxAlign);
     for (int attempt = 0; attempt < 2; ++attempt) {

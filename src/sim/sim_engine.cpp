@@ -106,8 +106,8 @@ SimEngine::SimEngine(const ops5::Program& program, EngineOptions options,
                      SimConfig config)
     : EngineBase(program, options),
       config_(config),
-      left_table_(options_.hash_buckets),
-      right_table_(options_.hash_buckets),
+      left_table_(options_.hash_buckets.value_or(kSimHashBuckets)),
+      right_table_(options_.hash_buckets.value_or(kSimHashBuckets)),
       world_{&left_table_, &right_table_, nullptr, &cs_},
       arenas_(static_cast<std::size_t>(std::max(options_.match_processes, 0)) +
               1),

@@ -35,10 +35,9 @@ void init_world(World& w, std::uint32_t id, const ops5::Program& program,
   w.id = id;
   w.seed = WorldPool::world_seed(options.seed, id);
   w.cs = std::make_unique<ConflictSet>(program);
-  w.left_table =
-      std::make_unique<match::HashTokenTable>(options.hash_buckets);
-  w.right_table =
-      std::make_unique<match::HashTokenTable>(options.hash_buckets);
+  const std::uint32_t buckets = options.hash_buckets.value_or(kHashBuckets);
+  w.left_table = std::make_unique<match::HashTokenTable>(buckets);
+  w.right_table = std::make_unique<match::HashTokenTable>(buckets);
   if (w.arenas.empty())
     w.arenas = std::vector<match::BumpArena>(
         static_cast<std::size_t>(endpoints));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
+#include "engine/sequential_engine.hpp"
+#include "workloads/workloads.hpp"
 
 namespace psme::match {
 namespace {
@@ -113,15 +115,22 @@ TEST(BumpArena, RejectsTokenLargerThanBlock) {
 }
 
 TEST(EntryLayout, OneCacheLinePerEntryAndAlignedBuckets) {
-  EXPECT_EQ(sizeof(Entry), 64u);
-  EXPECT_EQ(sizeof(Bucket), 128u);
+  // A bucket (fast slot plus both chain heads) is exactly one line.
+  EXPECT_EQ(sizeof(Bucket), 64u);
   EXPECT_EQ(alignof(Bucket), 64u);
-  // Arena-made entries are cache-line aligned and live.
+  // Arena-made chain entries are cache-line aligned, live, and each owns
+  // its line: no two share one, so neg_count updates never false-share.
   BumpArena arena;
+  std::uintptr_t prev = 0;
   for (int i = 0; i < 100; ++i) {
     Entry* e = arena.make_entry();
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(e) % 64, 0u);
+    const auto addr = reinterpret_cast<std::uintptr_t>(e);
+    EXPECT_EQ(addr % 64, 0u);
     EXPECT_EQ(e->live, 1);
+    if (prev != 0) {
+      EXPECT_GE(addr > prev ? addr - prev : prev - addr, 64u);
+    }
+    prev = addr;
   }
   // Table buckets never share a cache line.
   HashTokenTable table(8);
@@ -171,6 +180,32 @@ TEST(HashTokenTable, LineOfIsStableAndBounded) {
   }
   // Same hash, same line; hashes differing only above the mask collide.
   EXPECT_EQ(table.line_of(5), table.line_of(5 + 256));
+}
+
+// The wall-clock engines default to 1024 one-line buckets, the bytes of
+// 512 two-line buckets. The firing trace cannot depend on the line count;
+// the probe's foreign residents roughly halve with twice the lines.
+TEST(HashTokenTable, DefaultLinesHalveWeaverCollisionsInTheSameBytes) {
+  EXPECT_EQ(std::size_t{kHashBuckets} * sizeof(Bucket), 512u * 128u);
+  const auto w = workloads::weaver(16, 2);
+  const auto program = ops5::Program::from_source(w.source);
+  auto run = [&](std::optional<std::uint32_t> buckets) {
+    EngineOptions opt;
+    opt.hash_buckets = buckets;
+    auto eng = std::make_unique<SequentialEngine>(program, opt);
+    workloads::load(*eng, w);
+    eng->run();
+    return eng;
+  };
+  const auto def = run(std::nullopt);
+  const auto paper = run(512u);
+  EXPECT_EQ(def->trace(), paper->trace());
+  const MatchStats& d = def->stats().match;
+  const MatchStats& p = paper->stats().match;
+  EXPECT_EQ(d.node_activations, p.node_activations);
+  ASSERT_GT(p.line_collisions, 0u);
+  EXPECT_LE(static_cast<double>(d.line_collisions),
+            0.6 * static_cast<double>(p.line_collisions));
 }
 
 TEST(MatchStats, MergeSumsEverything) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "engine/sequential_engine.hpp"
 #include "workloads/workloads.hpp"
 
@@ -188,6 +191,27 @@ TEST_F(SimTest, StealRunsContinuationsLikeThreads) {
   const MatchStats& m = eng.run().stats.match;
   ASSERT_EQ(m.wme_changes, 12u);  // six makes, six removes
   EXPECT_LT(m.queue_acquisitions, 3 * m.wme_changes);
+}
+
+// The simulator defaults to the 512 lines its paper-table rows were
+// recorded at (the wall-clock engines use 1024), so an unset table size is
+// the explicit 512-line run, counter for counter and tick for tick.
+TEST_F(SimTest, DefaultTableSizeIsThe512LinePaperTable) {
+  EngineOptions opt;
+  opt.match_processes = 5;
+  opt.task_queues = 2;
+  SimEngine unset(program_, opt);
+  opt.hash_buckets = 512;
+  SimEngine pinned(program_, opt);
+  for (SimEngine* eng : {&unset, &pinned}) {
+    workloads::load(*eng, w_);
+    eng->run();
+  }
+  // Every MatchStats field before the histogram wiring is a counter.
+  const MatchStats& a = unset.match_stats();
+  const MatchStats& b = pinned.match_stats();
+  EXPECT_EQ(std::memcmp(&a, &b, offsetof(MatchStats, queue_depth_hist)), 0);
+  EXPECT_EQ(unset.sim_match_seconds(), pinned.sim_match_seconds());
 }
 
 TEST(SimCost, VirtualSecondsFollowCostModel) {

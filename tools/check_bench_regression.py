@@ -25,10 +25,7 @@ baseline with no rows for its own key and metric is skipped with a note
 instead of failing — regenerate the baseline to re-arm the gate.
 
 The default tolerance is 0.10 (the CI gate: >10% regression fails);
-override with --tolerance or the PSME_BENCH_TOLERANCE env var. The
-committed BENCH_kernel_seed.json baseline was recorded on the
-pre-flat-token layout, so staying under it also proves the layout work
-never regresses past the old kernel.
+override with --tolerance or the PSME_BENCH_TOLERANCE env var.
 """
 
 import argparse
