@@ -1,15 +1,19 @@
 // Google-benchmark micro-benchmarks for the match path itself: wme-change
-// throughput per engine flavour, and hash vs list memory probing.
+// throughput per engine flavour, hash vs list memory probing, and the
+// delete search on a keyless node.
 //
 // Invoked with --sweep it instead runs the token-depth sweep — a plain
-// harness (no google-benchmark) timing the threaded engine on chain-join
-// programs whose tokens grow to the requested depth. `--sweep --json FILE`
-// writes psme.bench.v1 rows; BENCH_kernel_seed.json at the repo root is
-// the committed fast-mode baseline (RelWithDebInfo, the threaded engine at
-// its default table size); CI diffs against it via
+// harness (no google-benchmark) timing the sequential and the threaded
+// engine on chain-join programs whose tokens grow to the requested depth,
+// the median of 7 repetitions per row. `--sweep --json FILE` writes
+// psme.bench.v1 rows keyed by (engine, depth); BENCH_kernel_seed.json at
+// the repo root is the committed fast-mode baseline (RelWithDebInfo, both
+// engines at their default table size); CI diffs against it via
 // tools/check_bench_regression.py.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -17,6 +21,9 @@
 #include "engine/lisp_engine.hpp"
 #include "engine/parallel_engine.hpp"
 #include "engine/sequential_engine.hpp"
+#include "match/kernel.hpp"
+#include "rete/builder.hpp"
+#include "runtime/working_memory.hpp"
 #include "workloads/workloads.hpp"
 
 namespace psme {
@@ -94,6 +101,70 @@ BENCHMARK(BM_ProbeCost)
     ->ArgsProduct({{0, 1}, {64, 512}})
     ->ArgNames({"hash", "tokens"});
 
+// The Table 4-3 delete search on its own: N left tokens stored on one
+// keyless node (one (node, key), so one bucket: the fast slot plus an
+// (N-1)-entry chain), then retracted in insertion order by content-equal
+// tokens rebuilt for the `-` as the real delete path does. Only the
+// retractions are timed (manual time); `ns/delete` is per retraction.
+void BM_DeleteSearch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(literalize b y)
+(p cross (a ^x <v>) (b ^y <w>) --> (halt))
+)");
+  auto net = rete::build_network(program);
+  const rete::JoinNode* join = net->joins().front().get();
+  WorkingMemory wm(program);
+  std::vector<const Token*> plus, minus;
+  match::BumpArena tokens;
+  for (int i = 0; i < n; ++i) {
+    const Wme* w = wm.make(intern("a"), {Value::integer(i)});
+    plus.push_back(tokens.make_token(nullptr, w));
+    minus.push_back(tokens.make_token(nullptr, w));
+  }
+  match::HashTokenTable left(kHashBuckets), right(kHashBuckets);
+  match::WorldContext world;
+  world.left_table = &left;
+  world.right_table = &right;
+  MatchStats stats;
+  match::BumpArena entries;  // chain entries; empty again after each round
+  match::MatchContext ctx;
+  ctx.arena = &entries;
+  ctx.stats = &stats;
+  match::Task t;
+  t.kind = match::TaskKind::JoinLeft;
+  t.join = join;
+  double total_ns = 0;
+  for (auto _ : state) {
+    t.sign = +1;
+    for (const Token* tok : plus) {
+      t.token = tok;
+      match::process_join_update(ctx, world, t);
+    }
+    t.sign = -1;
+    const auto start = std::chrono::steady_clock::now();
+    for (const Token* tok : minus) {
+      t.token = tok;
+      benchmark::DoNotOptimize(match::process_join_update(ctx, world, t));
+    }
+    const std::chrono::duration<double, std::nano> ns =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(ns.count() * 1e-9);
+    total_ns += ns.count();
+    // Every entry is unlinked again, so the next round's chain can reuse
+    // the arena's block.
+    entries.reset(/*poison=*/false);
+  }
+  state.counters["ns/delete"] =
+      total_ns / (static_cast<double>(state.iterations()) * n);
+  state.counters["examined/delete"] =
+      static_cast<double>(stats.same_del_examined[side_index(Side::Left)]) /
+      static_cast<double>(stats.same_del_activations[side_index(Side::Left)]);
+}
+BENCHMARK(BM_DeleteSearch)->Arg(4)->Arg(16)->Arg(64)->ArgName("tokens")
+    ->UseManualTime();
+
 // --- token-depth sweep ------------------------------------------------------
 //
 // A chain-join program with `depth` condition elements, all bound by one
@@ -113,6 +184,7 @@ std::string chain_source(int depth) {
 }
 
 struct SweepRow {
+  const char* engine = "";
   int depth = 0;
   double ns_per_task = 0;
   std::uint64_t tasks = 0;
@@ -127,7 +199,10 @@ struct SweepRow {
 // token down at each depth — a content-equality search among the `dup`
 // same-bucket entries per level — and the re-assert re-derives it, hashing
 // the token front at every level. Token-representation costs therefore
-// scale with depth x dup while scheduler overhead stays constant.
+// scale with depth x dup while scheduler overhead stays constant. The
+// sequential engine runs the same script with the kernel alone, no
+// scheduler: the steadier of the two rows.
+template <typename EngineT>
 SweepRow sweep_once(const ops5::Program& program, int depth, int keys,
                     int dup, int rounds, int procs) {
   EngineOptions opt;
@@ -135,7 +210,7 @@ SweepRow sweep_once(const ops5::Program& program, int depth, int keys,
   opt.task_queues = 2;
   opt.scheduler = match::SchedulerKind::Steal;
   opt.max_cycles = 10'000'000;
-  ParallelEngine eng(program, opt);
+  EngineT eng(program, opt);
   const SymbolId key = intern("key");
   const SymbolId tag = intern("tag");
   const SymbolId val = intern("val");
@@ -188,38 +263,53 @@ int run_token_depth_sweep(int argc, char** argv) {
   const int keys = fast ? 8 : 16;
   const int dup = fast ? 32 : 48;
   const int rounds = fast ? 24 : 64;
-  const int procs = 3;
-  const int reps = 3;
-  json.stamp("engine", obs::Json("threads"));
+  const int procs = 3;  // threaded rows; the sequential engine has none
+  const int reps = 7;
   json.stamp("memory", obs::Json("hash"));
   json.stamp("scheduler", obs::Json("steal"));
   json.stamp("procs", obs::Json(static_cast<double>(procs)));
   json.stamp("keys", obs::Json(static_cast<double>(keys)));
   json.stamp("dup", obs::Json(static_cast<double>(dup)));
   json.stamp("rounds", obs::Json(static_cast<double>(rounds)));
+  json.stamp("reps", obs::Json(static_cast<double>(reps)));
 
-  std::printf("token-depth sweep: threaded engine, hash backend "
-              "(%d procs, %d keys x %d head wmes, %d all-key "
-              "retract/assert rounds, best of %d)\n\n",
+  std::printf("token-depth sweep: hash backend, sequential and threaded "
+              "(%d procs) engines (%d keys x %d head wmes, %d all-key "
+              "retract/assert rounds, median of %d)\n\n",
               procs, keys, dup, rounds, reps);
-  std::printf("%-8s %12s %12s %12s\n", "depth", "ns/task", "tasks",
-              "match ms");
-  for (const int depth : depths) {
-    auto program = ops5::Program::from_source(chain_source(depth));
-    SweepRow best;
-    for (int rep = 0; rep < reps; ++rep) {
-      const SweepRow row =
-          sweep_once(program, depth, keys, dup, rounds, procs);
-      if (rep == 0 || row.ns_per_task < best.ns_per_task) best = row;
+  std::printf("%-8s %-8s %12s %12s %12s\n", "engine", "depth", "ns/task",
+              "tasks", "match ms");
+  using SweepFn = SweepRow (*)(const ops5::Program&, int, int, int, int, int);
+  const struct {
+    const char* name;
+    SweepFn run;
+    int procs;
+  } engines[] = {{"seq", &sweep_once<SequentialEngine>, 0},
+                 {"threads", &sweep_once<ParallelEngine>, procs}};
+  for (const auto& e : engines) {
+    for (const int depth : depths) {
+      auto program = ops5::Program::from_source(chain_source(depth));
+      std::vector<SweepRow> runs;
+      for (int rep = 0; rep < reps; ++rep)
+        runs.push_back(e.run(program, depth, keys, dup, rounds, e.procs));
+      // The median run (reps is odd).
+      std::sort(runs.begin(), runs.end(),
+                [](const SweepRow& a, const SweepRow& b) {
+                  return a.ns_per_task < b.ns_per_task;
+                });
+      SweepRow row = runs[reps / 2];
+      row.engine = e.name;
+      std::printf("%-8s %-8d %12.1f %12llu %12.2f\n", row.engine, row.depth,
+                  row.ns_per_task,
+                  static_cast<unsigned long long>(row.tasks), row.match_ms);
+      obs::JsonObject o;
+      o.emplace_back("engine", obs::Json(row.engine));
+      o.emplace_back("depth", obs::Json(static_cast<double>(row.depth)));
+      o.emplace_back("ns_per_task", obs::Json(row.ns_per_task));
+      o.emplace_back("tasks", obs::Json(static_cast<double>(row.tasks)));
+      o.emplace_back("match_ms", obs::Json(row.match_ms));
+      json.add(obs::Json(std::move(o)));
     }
-    std::printf("%-8d %12.1f %12llu %12.2f\n", best.depth, best.ns_per_task,
-                static_cast<unsigned long long>(best.tasks), best.match_ms);
-    obs::JsonObject row;
-    row.emplace_back("depth", obs::Json(static_cast<double>(best.depth)));
-    row.emplace_back("ns_per_task", obs::Json(best.ns_per_task));
-    row.emplace_back("tasks", obs::Json(static_cast<double>(best.tasks)));
-    row.emplace_back("match_ms", obs::Json(best.match_ms));
-    json.add(obs::Json(std::move(row)));
   }
   return 0;
 }

@@ -102,7 +102,12 @@ class Value {
   std::size_t hash() const {
     // Numbers with equal numeric value must hash equal (2 == 2.0).
     std::uint64_t h;
-    if (is_number()) {
+    constexpr std::int64_t kExact = std::int64_t{1} << 53;
+    if (kind_ == ValueKind::Int && i_ > -kExact && i_ < kExact) {
+      // Exactly representable as a double: the number path below would
+      // round-trip it through double to this same value.
+      h = 0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(i_);
+    } else if (is_number()) {
       // Int 2 and Float 2.0 compare equal, so they must hash equal.
       const double d = number();
       const auto as_int = static_cast<std::int64_t>(d);

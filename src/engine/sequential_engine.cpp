@@ -36,7 +36,7 @@ void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {
 void SequentialEngine::drain() {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  match::drain_fifo(ctx_, world_, network(), queue_, emit_buf_);
+  match::drain_fifo(ctx_, world_, network(), queue_);
   ctl_.stats.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }

@@ -4,7 +4,7 @@
 // engines.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "engine/engine_base.hpp"
 
@@ -29,8 +29,7 @@ class SequentialEngine : public EngineBase {
   match::BumpArena arena_;
   match::MatchContext ctx_;
   match::WorldContext world_;
-  std::deque<match::Task> queue_;
-  std::vector<match::Task> emit_buf_;
+  std::vector<match::Task> queue_;  // drain_fifo's flat FIFO
 };
 
 }  // namespace psme

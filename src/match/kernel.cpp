@@ -78,9 +78,18 @@ inline bool entry_of_node(MatchContext& ctx, const Entry* e,
   return false;
 }
 
+// The fingerprint a stored entry carries for `task`'s payload: the
+// token's on the left, 0 on the right (wmes compare by pointer).
+inline std::uint32_t payload_fp(const Task& task) {
+  return task.side() == Side::Left ? task.token->fp : 0;
+}
+
+// Does `e` hold `task`'s payload? Left entries are screened on their
+// stored fingerprint first, so a same-node resident of different content
+// is rejected without touching its token.
 inline bool same_payload(const Task& task, const Entry* e) {
-  return task.side() == Side::Left ? token_content_equal(e->token, task.token)
-                                   : e->wme == task.wme;
+  if (task.side() == Side::Right) return e->wme == task.wme;
+  return e->fp == task.token->fp && token_content_equal(e->token, task.token);
 }
 
 // Emits one token to every successor of the join, in the emitting task's
@@ -214,6 +223,7 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
       e->wme = task.wme;
       e->hash = up.hash;
       e->node_id = j->id;
+      e->fp = payload_fp(task);
       e->live = 1;
     } else {
       e = ctx.arena->make_entry();
@@ -221,6 +231,7 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
       e->wme = task.wme;
       e->hash = up.hash;
       e->node_id = j->id;
+      e->fp = payload_fp(task);
       e->next = b.own->head;
       b.own->head = e;
     }
@@ -277,6 +288,7 @@ MemUpdate process_join_update(MatchContext& ctx, WorldContext& world,
   e->wme = task.wme;
   e->hash = up.hash;
   e->node_id = j->id;
+  e->fp = payload_fp(task);
   e->next = b.own->extra_deletes;
   b.own->extra_deletes = e;
   up.outcome = MemUpdate::Outcome::ParkedDelete;

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -141,20 +140,19 @@ inline void process_task(MatchContext& ctx, WorldContext& world,
   }
 }
 
-// Runs `queue` to fixpoint on the calling thread, FIFO: each task's
-// emissions join the tail. The inline match phase of the sequential engine
-// and of an inline world; `emit` is scratch.
+// Runs `queue` to fixpoint on the calling thread, FIFO: a flat vector
+// walked with a head index, each task's emissions appended straight onto
+// its tail. The task is copied out first (an append may reallocate); the
+// vector is cleared at fixpoint, keeping its capacity for the next drain.
+// The inline match phase of the sequential engine and of an inline world.
 inline void drain_fifo(MatchContext& ctx, WorldContext& world,
-                       const rete::Network& net, std::deque<Task>& queue,
-                       std::vector<Task>& emit) {
-  while (!queue.empty()) {
-    const Task task = queue.front();
-    queue.pop_front();
-    emit.clear();
-    process_task(ctx, world, net, task, emit);
-    for (const Task& t : emit) queue.push_back(t);
+                       const rete::Network& net, std::vector<Task>& queue) {
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Task task = queue[head];
+    process_task(ctx, world, net, task, queue);
     ctx.stats->tasks_executed += 1;
   }
+  queue.clear();
 }
 
 }  // namespace psme::match

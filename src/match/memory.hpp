@@ -52,6 +52,10 @@ struct Entry {
   // exclusive line lock), so the fields must stay readable until the next
   // same-line insert overwrites them.
   std::uint8_t live = 0;
+  // Left entries: a copy of token->fp, so the delete search rejects a
+  // same-node resident of different content without dereferencing its
+  // token (a filter only; see token_content_equal). 0 on right entries.
+  std::uint32_t fp = 0;
 };
 static_assert(sizeof(Entry) == 48, "fast slot and two chain heads fill a line");
 
@@ -119,8 +123,9 @@ class ListMemories {
 class alignas(64) BumpArena {
  public:
   // Flat-token allocation: header plus the inline `const Wme*[len]` array
-  // in one variable-length block. The parent's prefix is copied by memcpy;
-  // the parent pointer is kept for the rr digest path.
+  // in one variable-length block. The parent's prefix is copied by memcpy,
+  // the fingerprint is folded from the parent's in O(1); the parent
+  // pointer is kept for the rr digest path.
   Token* make_token(const Token* parent, const Wme* wme) {
     const std::uint32_t len = parent ? parent->len + 1 : 1;
     const std::size_t bytes = Token::flat_bytes(len);
@@ -130,6 +135,7 @@ class alignas(64) BumpArena {
     t->parent = parent;
     t->wme = wme;
     t->len = len;
+    t->fp = token_fingerprint(parent, wme);
     const Wme** dst = t->wmes_mut();
     if (parent)
       std::memcpy(dst, parent->wmes(),

@@ -11,7 +11,11 @@
 //
 // Two tokens are *content-equal* when their wme pointer sequences agree;
 // parallel delete processing uses content equality because the `-` path
-// rebuilds its own token objects.
+// rebuilds its own token objects. `fp` is a 32-bit fingerprint of that
+// sequence, folded in O(1) per extension from the parent's: content-equal
+// tokens always carry equal `fp`, so a differing `fp` rejects a candidate
+// without reading its wme array. Equal `fp` proves nothing — the memcmp
+// stays the final test.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +29,7 @@ struct Token {
   const Token* parent = nullptr;  // nullptr for length-1 tokens
   const Wme* wme = nullptr;       // last wme (== wmes()[len - 1])
   std::uint32_t len = 1;
+  std::uint32_t fp = 0;  // content fingerprint (header padding; see above)
 
   // The inline wme array lives immediately after the header; sizeof(Token)
   // is a multiple of alignof(const Wme*), so `this + 1` is correctly
@@ -43,10 +48,22 @@ struct Token {
 };
 static_assert(sizeof(Token) % alignof(const Wme*) == 0,
               "inline wme array must start aligned");
+static_assert(sizeof(Token) == 24, "fp lives in the header's padding");
+
+// The fingerprint of `parent` extended by `wme` (parent's fp, or a fixed
+// seed for a length-1 token, mixed with the wme's address). A function of
+// the wme sequence alone, so content-equal tokens fingerprint equal.
+inline std::uint32_t token_fingerprint(const Token* parent, const Wme* wme) {
+  std::uint64_t x = reinterpret_cast<std::uintptr_t>(wme);
+  x = (x ^ (parent ? parent->fp : 0x9e3779b9u)) * 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 31;
+  x *= 0x94d049bb133111ebull;
+  return static_cast<std::uint32_t>(x >> 32);
+}
 
 inline bool token_content_equal(const Token* a, const Token* b) {
   if (a == b) return true;
-  if (!a || !b || a->len != b->len) return false;
+  if (!a || !b || a->len != b->len || a->fp != b->fp) return false;
   return std::memcmp(a->wmes(), b->wmes(),
                      std::size_t{a->len} * sizeof(const Wme*)) == 0;
 }

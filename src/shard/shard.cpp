@@ -160,9 +160,10 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &s.w.arenas[0];
   ctx.stats = &s.w.stats.match;
-  while (!s.w.inline_queue.empty()) {
-    const match::Task task = s.w.inline_queue.front();
-    s.w.inline_queue.pop_front();
+  // Flat FIFO as in match::drain_fifo; route() appends to the queue, so
+  // the task is copied out first.
+  for (std::size_t head = 0; head < s.w.inline_queue.size(); ++head) {
+    const match::Task task = s.w.inline_queue[head];
     s.w.emit_buf.clear();
     match::ActivationCost c;
     match::process_task(ctx, s.w.ctx, net_, task, s.w.emit_buf, &c);
@@ -172,6 +173,7 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
     ++tasks_;
     ++batch_tasks_;
   }
+  s.w.inline_queue.clear();
 }
 
 std::string ShardState::handle(const std::string& bytes) {

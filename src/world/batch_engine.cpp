@@ -76,7 +76,7 @@ void BatchEngine::submit_change(World& w, const Wme* wme, std::int8_t sign) {
   ctx.arena = &w.arenas[0];
   ctx.stats = &w.stats.match;
   w.inline_queue.push_back(root);
-  match::drain_fifo(ctx, w.ctx, network(), w.inline_queue, w.emit_buf);
+  match::drain_fifo(ctx, w.ctx, network(), w.inline_queue);
 }
 
 void BatchEngine::quiescent(World& w) {

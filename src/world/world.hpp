@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -49,9 +48,11 @@ struct World : Control {
   std::vector<match::BumpArena> arenas;  // one per scheduler endpoint
   match::WorldContext ctx;               // views over the tables + cs
 
-  // Inline-mode match queue (match_processes == 0): per-world so
-  // concurrent run_session() calls on different worlds never share state.
-  std::deque<match::Task> inline_queue;
+  // Inline-mode match queue (match_processes == 0; drain_fifo's flat
+  // FIFO): per-world so concurrent run_session() calls on different
+  // worlds never share state. `emit_buf` is the shard drain's scratch for
+  // pricing and routing one task's emissions.
+  std::vector<match::Task> inline_queue;
   std::vector<match::Task> emit_buf;
 
   // Per-cycle (cycle, wm_digest, cs_digest) log when digest capture is on.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/symbol_table.hpp"
 #include "rete/builder.hpp"
 #include "runtime/working_memory.hpp"
@@ -138,6 +140,49 @@ TEST_P(KernelTest, DeleteSearchCountsSameMemory) {
   EXPECT_GE(stats_.same_del_examined[side_index(Side::Right)], 1u);
 }
 
+// --- Delete search on a keyless node ---------------------------------------
+
+// A cross-product join: no equality test, so every left token of the node
+// hashes to one (node, key) and shares one bucket.
+constexpr const char* kKeylessSrc = R"(
+(literalize a x)
+(literalize b y)
+(p cross (a ^x <v>) (b ^y <w>) --> (halt))
+)";
+
+class KeylessKernelTest : public KernelTest {
+ protected:
+  KeylessKernelTest() : KernelTest(kKeylessSrc) {}
+};
+
+TEST_P(KeylessKernelTest, LeftDeleteFindsItsEntryAmongSameNodeResidents) {
+  const Wme* b = make_b(0);
+  drain(root(b, +1));
+  std::vector<const Wme*> as;
+  for (int i = 0; i < 10; ++i) {
+    as.push_back(make_a(i));
+    drain(root(as.back(), +1));
+  }
+  ASSERT_EQ(cs_.size(), 10u);
+  stats_ = MatchStats{};
+  // The `-` rebuilds its own token, so the search must match by content
+  // among ten residents of the same node.
+  drain(root(as[3], -1));
+  const int si = side_index(Side::Left);
+  EXPECT_EQ(stats_.same_del_activations[si], 1u);
+  // Fast slot (as[0]), then the LIFO chain as[9]..as[3]: pinned from the
+  // build before the delete search screened on fingerprints.
+  EXPECT_EQ(stats_.same_del_examined[si], 8u);
+  EXPECT_EQ(stats_.conjugate_hits, 0u);
+  EXPECT_EQ(cs_.size(), 9u);
+  EXPECT_FALSE(cs_.contains(0, {as[3], b}));
+  EXPECT_TRUE(cs_.contains(0, {as[2], b}));
+  EXPECT_TRUE(cs_.contains(0, {as[4], b}));
+  // Nothing was parked: a second b pairs with exactly the nine survivors.
+  drain(root(make_b(1), +1));
+  EXPECT_EQ(cs_.size(), 18u);
+}
+
 // --- Negative-node behaviour ---------------------------------------------
 
 constexpr const char* kNegSrc = R"(
@@ -192,6 +237,14 @@ TEST_P(NegKernelTest, LeftDeleteWhilePassing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, KernelTest,
+                         ::testing::Values(MemoryStrategy::List,
+                                           MemoryStrategy::Hash),
+                         [](const auto& info) {
+                           return info.param == MemoryStrategy::List
+                                      ? "ListVs1"
+                                      : "HashVs2";
+                         });
+INSTANTIATE_TEST_SUITE_P(Backends, KeylessKernelTest,
                          ::testing::Values(MemoryStrategy::List,
                                            MemoryStrategy::Hash),
                          [](const auto& info) {

@@ -37,6 +37,34 @@ TEST(BumpArena, TokenContentEquality) {
   EXPECT_FALSE(token_content_equal(a, nullptr));
 }
 
+TEST(Token, FingerprintIsContentDetermined) {
+  EXPECT_EQ(sizeof(Token), 24u);  // fp rides in the header's padding
+  EXPECT_EQ(sizeof(Entry), 48u);
+  BumpArena arena, other_arena;
+  Wme w1, w2, w3, w4;
+  // One content, two chains of distinct parent objects (one per arena).
+  const Token* a = arena.make_token(
+      arena.make_token(arena.make_token(nullptr, &w1), &w2), &w3);
+  const Token* b = other_arena.make_token(
+      other_arena.make_token(other_arena.make_token(nullptr, &w1), &w2), &w3);
+  ASSERT_NE(a, b);
+  ASSERT_NE(a->parent, b->parent);
+  EXPECT_EQ(a->fp, b->fp);
+  EXPECT_EQ(a->parent->fp, b->parent->fp);
+  EXPECT_TRUE(token_content_equal(a, b));
+  // Reordered content fingerprints apart (with overwhelming probability).
+  const Token* c = arena.make_token(
+      arena.make_token(arena.make_token(nullptr, &w2), &w1), &w3);
+  EXPECT_NE(a->fp, c->fp);
+  // The fingerprint is a filter, not a key: forcing a content-different
+  // token's fp equal still leaves the two unequal.
+  Token* d = arena.make_token(
+      arena.make_token(arena.make_token(nullptr, &w1), &w2), &w4);
+  d->fp = a->fp;
+  EXPECT_FALSE(token_content_equal(a, d));
+  EXPECT_FALSE(token_content_equal(d, a));
+}
+
 TEST(BumpArena, SurvivesManyAllocations) {
   BumpArena arena;
   const Token* prev = nullptr;

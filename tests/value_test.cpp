@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/symbol_table.hpp"
 
 namespace psme {
@@ -55,6 +57,20 @@ TEST(Value, HashRespectsNumericEquality) {
   // Distinct values should (with overwhelming probability) hash apart.
   EXPECT_NE(Value::integer(2).hash(), Value::integer(3).hash());
   EXPECT_NE(sym("x").hash(), sym("y").hash());
+}
+
+TEST(Value, HashExactIntegersUnchanged) {
+  // Pinned from the build whose ints hashed through the double round trip:
+  // task_hash, and so every hash-table line, depends on these bits.
+  const std::int64_t e53 = std::int64_t{1} << 53;
+  EXPECT_EQ(Value::integer(0).hash(), 0x9341ca263702a9e6ull);
+  EXPECT_EQ(Value::integer(-1).hash(), 0x2bc1b975eb42904full);
+  EXPECT_EQ(Value::integer(e53 - 1).hash(), 0x1dd9403edf5eeceaull);
+  EXPECT_EQ(Value::integer(-(e53 - 1)).hash(), 0xd447a1170e7f10a3ull);
+  EXPECT_EQ(Value::integer(e53).hash(), 0xfc22f4cdcfc33693ull);
+  EXPECT_EQ(Value::integer(std::numeric_limits<std::int64_t>::min()).hash(),
+            0x0e972d59b9e9da59ull);
+  EXPECT_EQ(Value::integer(2).hash(), Value::real(2.0).hash());
 }
 
 TEST(Value, TotalOrderIsAntisymmetricAndTotal) {
