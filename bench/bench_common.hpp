@@ -8,8 +8,8 @@
 //
 // Benches that take (argc, argv) also accept `--json FILE`: every table
 // row is mirrored as a JSON object (schema psme.bench.v1) so baselines can
-// be diffed mechanically — BENCH_seed.json at the repo root is the
-// committed fast-mode baseline.
+// be diffed mechanically (the BENCH_*_seed.json files at the repo root,
+// checked by tools/check_bench_regression.py).
 #pragma once
 
 // GCC 12 emits spurious -Wmaybe-uninitialized warnings through

@@ -142,15 +142,14 @@ int main(int argc, char** argv) {
   };
   double central_k_ns = 0, steal_ns = 0;
   for (const MicroSpec& ms : micro_specs) {
-    auto sched = match::make_scheduler(ms.kind, ms.queues, workers + 1,
-                                       match::WsDeque::kDefaultCapacity);
+    auto sched = match::make_scheduler(ms.kind, ms.queues, workers + 1);
     const MicroResult r = run_micro(*sched, workers, roots, depth);
     std::printf("%-12s %12.1f %12llu %14.2f %10llu\n", ms.label,
                 r.ns_per_task, static_cast<unsigned long long>(r.tasks),
                 r.stats.queue_contention(),
                 static_cast<unsigned long long>(r.stats.steal_successes));
     if (std::strcmp(ms.label, "central-k") == 0) central_k_ns = r.ns_per_task;
-    if (std::strcmp(ms.label, "steal") == 0) steal_ns = r.ns_per_task;
+    if (ms.kind == match::SchedulerKind::Steal) steal_ns = r.ns_per_task;
     obs::JsonObject row;
     row.emplace_back("section", obs::Json("micro"));
     row.emplace_back("discipline", obs::Json(ms.label));

@@ -60,29 +60,14 @@ class ProfilingEngine : public EngineBase {
       queue_.pop_front();
       emit.clear();
       match::ActivationCost ac;
-      VTime cost = cost_.task_dispatch;
-      switch (cur.task.kind) {
-        case match::TaskKind::Root:
-          match::process_root(ctx_, world_, network(), cur.task, emit, &ac);
-          cost += cost_.root_charge(ac, emit.size());
-          break;
-        case match::TaskKind::Terminal:
-          match::process_terminal(ctx_, world_, cur.task, &ac);
-          cost += cost_.terminal_update;
-          break;
-        case match::TaskKind::JoinLeft:
-        case match::TaskKind::JoinRight: {
-          const match::MemUpdate up =
-              match::process_join_update(ctx_, world_, cur.task, &ac);
-          match::process_join_probe(ctx_, world_, cur.task, up, emit, &ac);
-          cost += cost_.join_update_charge(ac, cur.task.sign) +
-                  cost_.join_probe_charge(ac);
-          VTime& line =
-              line_work_[left_table_.line_of(match::task_hash(cur.task))];
-          line += cost;
-          phase_.max_line_work = std::max(phase_.max_line_work, line);
-          break;
-        }
+      match::process_task(ctx_, world_, network(), cur.task, emit, &ac);
+      const VTime cost = cost_.task_charge(cur.task, ac);
+      if (cur.task.kind == match::TaskKind::JoinLeft ||
+          cur.task.kind == match::TaskKind::JoinRight) {
+        VTime& line =
+            line_work_[left_table_.line_of(match::task_hash(cur.task))];
+        line += cost;
+        phase_.max_line_work = std::max(phase_.max_line_work, line);
       }
       const VTime finish = cur.ready + cost;
       phase_.work += cost;

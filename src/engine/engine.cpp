@@ -1,7 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <stdexcept>
-
 #include "engine/lisp_engine.hpp"
 #include "engine/parallel_engine.hpp"
 #include "engine/sequential_engine.hpp"
@@ -9,11 +7,12 @@
 
 namespace psme {
 
+bool is_parallel(ExecutionMode mode) {
+  return mode == ExecutionMode::ParallelThreads ||
+         mode == ExecutionMode::SimulatedMultimax;
+}
+
 void validate_options(const EngineOptions& options, ExecutionMode mode) {
-  if (options.worlds > 1)
-    throw std::invalid_argument(
-        "EngineOptions.worlds > 1 on the single-world Engine facade; "
-        "batched execution needs world::BatchEngine");
   if (options.worlds > 0 &&
       (mode == ExecutionMode::LispStyle || mode == ExecutionMode::Treat))
     throw std::invalid_argument(
@@ -21,14 +20,19 @@ void validate_options(const EngineOptions& options, ExecutionMode mode) {
         std::string(mode == ExecutionMode::LispStyle ? "lisp-style"
                                                      : "TREAT") +
         " engine: it does not run the shared match kernel");
+  if (options.worlds > 0 && options.memory != match::MemoryStrategy::Hash)
+    throw std::invalid_argument(
+        "worlds use the global hash-table memories (vs2), not vs1 lists");
   if (options.match_processes < 0)
     throw std::invalid_argument("EngineOptions.match_processes is negative");
   if (options.task_queues < 1)
     throw std::invalid_argument("EngineOptions.task_queues must be >= 1");
   if (options.hash_buckets == 0)
     throw std::invalid_argument("EngineOptions.hash_buckets must be >= 1");
-  const bool parallel = mode == ExecutionMode::ParallelThreads ||
-                        mode == ExecutionMode::SimulatedMultimax;
+  const bool parallel = is_parallel(mode);
+  if (parallel && options.match_processes < 1)
+    throw std::invalid_argument(
+        "the parallel engines need at least one match process");
   if (parallel && options.memory != match::MemoryStrategy::Hash)
     throw std::invalid_argument(
         "the parallel engines use the global hash-table memories (vs2); "
@@ -38,7 +42,18 @@ void validate_options(const EngineOptions& options, ExecutionMode mode) {
         "rr_replay is only meaningful on engines with a task scheduler");
 }
 
+match::SchedulerKind scheduler_of(const EngineOptions& options,
+                                  ExecutionMode mode) {
+  return options.scheduler.value_or(mode == ExecutionMode::ParallelThreads
+                                        ? kThreadedScheduler
+                                        : kSimScheduler);
+}
+
 Engine::Engine(const ops5::Program& program, EngineConfig config) {
+  if (config.options.worlds > 1)
+    throw std::invalid_argument(
+        "EngineOptions.worlds > 1 on the single-world Engine facade; "
+        "batched execution needs world::BatchEngine");
   validate_options(config.options, config.mode);
   switch (config.mode) {
     case ExecutionMode::Sequential:

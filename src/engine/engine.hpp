@@ -16,6 +16,9 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "engine/engine_base.hpp"
 #include "sim/sim_engine.hpp"
@@ -36,13 +39,84 @@ struct EngineConfig {
   sim::SimConfig sim;  // used by SimulatedMultimax only
 };
 
+// True for the modes whose match runs on match processes behind a task
+// scheduler: ParallelThreads and SimulatedMultimax.
+bool is_parallel(ExecutionMode mode);
+
 // Rejects nonsensical option combinations with std::invalid_argument
-// instead of silently falling back: worlds > 1 on the single-world facade
-// (use world::BatchEngine), worlds > 0 on engines that do not run the
-// shared match kernel (LispStyle, Treat), vs1 list memories on the
-// parallel engines, and negative process/queue counts. Engine's
-// constructor calls this; world::BatchEngine and tools call it directly.
+// instead of silently falling back: worlds > 0 on engines that do not run
+// the shared match kernel (LispStyle, Treat) or on the vs1 list memories,
+// vs1 on the parallel engines, parallel engines without a match process,
+// and negative process/queue counts. Engine's constructor calls it (and
+// also rejects worlds > 1: batched execution needs world::BatchEngine), as
+// do ParallelEngine, sim::SimEngine and world::BatchEngine.
 void validate_options(const EngineOptions& options, ExecutionMode mode);
+
+// The task-scheduling discipline `mode` runs under `options`: the explicit
+// EngineOptions::scheduler, else kThreadedScheduler on real threads
+// (ParallelThreads; threaded world::BatchEngine asks as that mode) and
+// kSimScheduler, the paper's central queues, otherwise.
+match::SchedulerKind scheduler_of(const EngineOptions& options,
+                                  ExecutionMode mode);
+
+// --- The engine vocabulary --------------------------------------------
+// The names tools and replay logs use for each configuration axis: one
+// table per axis, each name paired with its value. A mode name also picks
+// the sequential engine's memories: vs1 is per-node lists, seq and vs2 the
+// global hash tables. parse throws std::invalid_argument listing the
+// accepted names; name_of returns a value's first name in its table
+// ("seq", not its alias "vs2").
+template <typename V>
+struct Named {
+  std::string_view name;
+  V value;
+};
+
+template <typename V, std::size_t N>
+struct Vocabulary {
+  std::string_view axis;  // for error messages
+  Named<V> names[N];
+
+  V parse(std::string_view name) const {
+    for (const Named<V>& n : names)
+      if (n.name == name) return n.value;
+    std::string msg = "bad " + std::string(axis) + " '" + std::string(name) +
+                      "' (accepted:";
+    for (const Named<V>& n : names) msg += " " + std::string(n.name);
+    throw std::invalid_argument(msg + ")");
+  }
+  std::string_view name_of(V value) const {
+    for (const Named<V>& n : names)
+      if (n.value == value) return n.name;
+    throw std::invalid_argument("no " + std::string(axis) + " name");
+  }
+};
+
+struct EngineMode {
+  ExecutionMode mode = ExecutionMode::Sequential;
+  match::MemoryStrategy memory = match::MemoryStrategy::Hash;
+  bool operator==(const EngineMode&) const = default;
+};
+
+inline constexpr Vocabulary<EngineMode, 7> kModeNames{
+    "mode",
+    {{"seq", {ExecutionMode::Sequential, match::MemoryStrategy::Hash}},
+     {"vs2", {ExecutionMode::Sequential, match::MemoryStrategy::Hash}},
+     {"vs1", {ExecutionMode::Sequential, match::MemoryStrategy::List}},
+     {"lisp", {ExecutionMode::LispStyle}},
+     {"threads", {ExecutionMode::ParallelThreads}},
+     {"sim", {ExecutionMode::SimulatedMultimax}},
+     {"treat", {ExecutionMode::Treat}}}};
+inline constexpr Vocabulary<match::SchedulerKind, 2> kSchedulerNames{
+    "scheduler",
+    {{"central", match::SchedulerKind::Central},
+     {"steal", match::SchedulerKind::Steal}}};
+inline constexpr Vocabulary<match::LockScheme, 2> kLockSchemeNames{
+    "lock scheme",
+    {{"simple", match::LockScheme::Simple},
+     {"mrsw", match::LockScheme::Mrsw}}};
+inline constexpr Vocabulary<CrStrategy, 2> kStrategyNames{
+    "strategy", {{"lex", CrStrategy::Lex}, {"mea", CrStrategy::Mea}}};
 
 class Engine {
  public:

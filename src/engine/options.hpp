@@ -57,11 +57,10 @@ struct EngineOptions {
   // (task_queues of them) or per-worker work-stealing deques (see
   // docs/scheduling.md). Unset means the engine's own default:
   // kThreadedScheduler on the wall-clock threaded engines, kSimScheduler in
-  // the simulator. steal_deque_capacity bounds each worker's deque
-  // (rounded up to a power of two); overfull deques spill to a locked
+  // the simulator (scheduler_of, engine.hpp). Each worker's deque holds
+  // WsDeque::kDefaultCapacity tasks; overfull deques spill to a locked
   // overflow list.
   std::optional<match::SchedulerKind> scheduler;
-  std::uint32_t steal_deque_capacity = match::WsDeque::kDefaultCapacity;
 
   // Token hash tables: number of buckets per side (rounded up to a power
   // of two). Unset means the engine's own default: kHashBuckets on the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/engine.hpp"
 #include "rr/replay.hpp"
 
 namespace psme {
@@ -13,18 +14,13 @@ namespace {
 // in recorded order (rr/replay.hpp).
 std::unique_ptr<match::Scheduler> make_pool_scheduler(
     const EngineOptions& options) {
-  if (options.match_processes < 1)
-    throw std::invalid_argument(
-        "ParallelEngine requires at least one match process");
-  if (options.memory != match::MemoryStrategy::Hash)
-    throw std::invalid_argument(
-        "the parallel matcher uses the global hash-table memories (vs2)");
+  validate_options(options, ExecutionMode::ParallelThreads);
   if (options.rr_replay)
     return rr::make_replay_scheduler(options.rr_replay,
                                      options.match_processes + 1);
   return match::make_scheduler(
-      options.scheduler.value_or(kThreadedScheduler), options.task_queues,
-      options.match_processes + 1, options.steal_deque_capacity);
+      scheduler_of(options, ExecutionMode::ParallelThreads),
+      options.task_queues, options.match_processes + 1);
 }
 
 }  // namespace

@@ -183,10 +183,9 @@ bool WorkStealingScheduler::try_pop(Task* out, unsigned who,
 // --- factory ----------------------------------------------------------------
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, int num_queues,
-                                          int endpoints,
-                                          std::uint32_t deque_capacity) {
+                                          int endpoints) {
   if (kind == SchedulerKind::Steal)
-    return std::make_unique<WorkStealingScheduler>(endpoints, deque_capacity);
+    return std::make_unique<WorkStealingScheduler>(endpoints);
   return std::make_unique<CentralScheduler>(num_queues, endpoints);
 }
 

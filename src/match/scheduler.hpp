@@ -147,9 +147,9 @@ class WorkStealingScheduler final : public Scheduler {
 };
 
 // `endpoints` = match processes + 1 (control last). For Central,
-// `num_queues` is EngineOptions::task_queues; Steal ignores it.
+// `num_queues` is EngineOptions::task_queues; Steal ignores it and sizes
+// each deque at WsDeque::kDefaultCapacity.
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, int num_queues,
-                                          int endpoints,
-                                          std::uint32_t deque_capacity);
+                                          int endpoints);
 
 }  // namespace psme::match

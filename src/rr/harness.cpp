@@ -1,34 +1,74 @@
 #include "rr/harness.hpp"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/parallel_engine.hpp"
-#include "engine/sequential_engine.hpp"
+#include "engine/engine.hpp"
 #include "rr/digest.hpp"
 #include "rr/recorder.hpp"
 #include "serve/checkpoint.hpp"
-#include "sim/sim_engine.hpp"
 
 namespace psme::rr {
 
 namespace {
 
-template <typename E>
-bool pick(std::string_view name, std::initializer_list<const char*> names,
-          E* out) {
-  std::uint8_t i = 0;
-  for (const char* n : names) {
-    if (name == n) {
-      *out = static_cast<E>(i);
-      return true;
-    }
-    ++i;
+// The modes a log can pin: the sequential engine (digests only; the fault
+// runs' reference) and the two with a scheduler replay can drive.
+constexpr EngineMode kReplayableModes[] = {{ExecutionMode::Sequential},
+                                           {ExecutionMode::ParallelThreads},
+                                           {ExecutionMode::SimulatedMultimax}};
+
+// The engine a run shape names. RunSpec and LogHeader carry the same
+// shape fields, so record, replay and the fault runs share this one
+// conversion. Throws std::invalid_argument on an unknown name or a mode
+// outside kReplayableModes (logs carry canonical names, so not vs2).
+template <typename Shape>
+EngineConfig shape_config(const Shape& s) {
+  const EngineMode* mode = nullptr;
+  for (const EngineMode& m : kReplayableModes)
+    if (kModeNames.name_of(m) == s.mode) mode = &m;
+  if (!mode) {
+    std::string msg = "bad mode '" + s.mode + "' for record/replay (accepted:";
+    for (const EngineMode& m : kReplayableModes)
+      msg += " " + std::string(kModeNames.name_of(m));
+    throw std::invalid_argument(msg + ")");
   }
-  return false;
+  EngineConfig config;
+  config.mode = mode->mode;
+  EngineOptions& o = config.options;
+  o.memory = mode->memory;
+  o.scheduler = kSchedulerNames.parse(s.scheduler);
+  o.lock_scheme = kLockSchemeNames.parse(s.lock_scheme);
+  o.strategy = kStrategyNames.parse(s.strategy);
+  o.match_processes = is_parallel(config.mode) ? s.match_processes : 0;
+  o.task_queues = s.task_queues;
+  o.max_cycles = s.max_cycles;
+  o.seed = s.seed;
+  return config;
 }
 
-void load_wmes(EngineBase& engine, const std::vector<std::string>& wmes) {
+// The log header describing `spec` run as `config` (program fingerprint
+// included).
+LogHeader header_from(const RunSpec& spec, const EngineConfig& config,
+                      const ops5::Program& program) {
+  LogHeader h;
+  h.workload = spec.workload.name;
+  h.source = spec.workload.source;
+  h.initial_wmes = spec.workload.initial_wmes;
+  h.mode = spec.mode;
+  h.scheduler = spec.scheduler;
+  h.lock_scheme = spec.lock_scheme;
+  h.strategy = spec.strategy;
+  h.match_processes = config.options.match_processes;
+  h.task_queues = spec.task_queues;
+  h.seed = spec.seed;
+  h.max_cycles = spec.max_cycles;
+  h.program_fingerprint = serve::Checkpoint::fingerprint_of(program);
+  return h;
+}
+
+void load_wmes(Engine& engine, const std::vector<std::string>& wmes) {
   for (const std::string& w : wmes) engine.make(w);
 }
 
@@ -81,67 +121,22 @@ std::string diff_cycles(const ReplayLog& ref, const ReplayLog& got,
 
 }  // namespace
 
-EngineOptions options_from(const RunSpec& spec) {
-  EngineOptions o;
-  o.memory = match::MemoryStrategy::Hash;
-  if (!pick(spec.strategy, {"lex", "mea"}, &o.strategy))
-    throw std::invalid_argument("rr: unknown strategy: " + spec.strategy);
-  match::SchedulerKind sched;
-  if (!pick(spec.scheduler, {"central", "steal"}, &sched))
-    throw std::invalid_argument("rr: unknown scheduler: " + spec.scheduler);
-  o.scheduler = sched;
-  if (!pick(spec.lock_scheme, {"simple", "mrsw"}, &o.lock_scheme))
-    throw std::invalid_argument("rr: unknown lock scheme: " +
-                                spec.lock_scheme);
-  o.match_processes = spec.mode == "seq" ? 0 : spec.match_processes;
-  o.task_queues = spec.task_queues;
-  o.max_cycles = spec.max_cycles;
-  o.seed = spec.seed;
-  return o;
-}
-
-std::unique_ptr<EngineBase> make_engine(const ops5::Program& program,
-                                        const std::string& mode,
-                                        const EngineOptions& options) {
-  if (mode == "seq")
-    return std::make_unique<SequentialEngine>(program, options);
-  if (mode == "threads")
-    return std::make_unique<ParallelEngine>(program, options);
-  if (mode == "sim") return std::make_unique<sim::SimEngine>(program, options);
-  throw std::invalid_argument("rr: unknown engine mode: " + mode);
-}
-
-LogHeader header_from(const RunSpec& spec, const ops5::Program& program) {
-  LogHeader h;
-  h.workload = spec.workload.name;
-  h.source = spec.workload.source;
-  h.initial_wmes = spec.workload.initial_wmes;
-  h.mode = spec.mode;
-  h.scheduler = spec.scheduler;
-  h.lock_scheme = spec.lock_scheme;
-  h.strategy = spec.strategy;
-  h.match_processes = spec.mode == "seq" ? 0 : spec.match_processes;
-  h.task_queues = spec.task_queues;
-  h.seed = spec.seed;
-  h.max_cycles = spec.max_cycles;
-  h.program_fingerprint = serve::Checkpoint::fingerprint_of(program);
-  return h;
-}
+EngineConfig config_from(const RunSpec& spec) { return shape_config(spec); }
 
 RecordedRun record_run(const RunSpec& spec, obs::Observability* obs) {
   const ops5::Program program =
       ops5::Program::from_source(spec.workload.source);
   Recorder recorder(spec.store_cs_entries);
   recorder.attach(obs);
-  EngineOptions options = options_from(spec);
-  options.obs = obs;
-  options.rr_record = &recorder;
-  std::unique_ptr<EngineBase> engine =
-      make_engine(program, spec.mode, options);
-  load_wmes(*engine, spec.workload.initial_wmes);
+  EngineConfig config = config_from(spec);
+  config.options.obs = obs;
+  config.options.rr_record = &recorder;
+  Engine engine(program, config);
+  load_wmes(engine, spec.workload.initial_wmes);
   RecordedRun out;
-  out.result = engine->run();
-  out.log = recorder.finish(header_from(spec, program), engine->trace());
+  out.result = engine.run();
+  out.log =
+      recorder.finish(header_from(spec, config, program), engine.trace());
   return out;
 }
 
@@ -152,30 +147,21 @@ ReplayOutcome replay_run(const ReplayLog& log, obs::Observability* obs) {
       log.header.program_fingerprint)
     throw std::runtime_error(
         "replay: log program fingerprint does not match its source");
+  EngineConfig config;
+  try {
+    config = shape_config(log.header);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("replay: log header: ") + e.what());
+  }
   ReplayCoordinator coord(log, &program);
   coord.attach(obs);
-  EngineOptions options;
-  options.memory = match::MemoryStrategy::Hash;
-  if (!pick(log.header.strategy, {"lex", "mea"}, &options.strategy))
-    throw std::runtime_error("replay: bad strategy in log header");
-  match::SchedulerKind sched;
-  if (!pick(log.header.scheduler, {"central", "steal"}, &sched))
-    throw std::runtime_error("replay: bad scheduler in log header");
-  options.scheduler = sched;
-  if (!pick(log.header.lock_scheme, {"simple", "mrsw"}, &options.lock_scheme))
-    throw std::runtime_error("replay: bad lock scheme in log header");
-  options.match_processes = log.header.match_processes;
-  options.task_queues = log.header.task_queues;
-  options.max_cycles = log.header.max_cycles;
-  options.seed = log.header.seed;
-  options.obs = obs;
-  options.rr_replay = &coord;
-  std::unique_ptr<EngineBase> engine =
-      make_engine(program, log.header.mode, options);
-  load_wmes(*engine, log.header.initial_wmes);
+  config.options.obs = obs;
+  config.options.rr_replay = &coord;
+  Engine engine(program, config);
+  load_wmes(engine, log.header.initial_wmes);
   ReplayOutcome out;
-  out.result = engine->run();
-  out.trace = engine->trace();
+  out.result = engine.run();
+  out.trace = engine.trace();
   out.report = coord.report();
   const std::string trace_diff =
       trace_divergence(log.trace, out.trace, program);
@@ -195,38 +181,34 @@ FaultRunResult run_with_faults(const RunSpec& spec, const FaultPlan& plan,
 
   // Sequential reference (digest-only recording: per-cycle WM/CS digests).
   RunSpec ref_spec = spec;
-  ref_spec.mode = "seq";
+  ref_spec.mode = kModeNames.name_of(kReplayableModes[0]);
   Recorder ref_recorder(spec.store_cs_entries);
-  EngineOptions ref_options = options_from(ref_spec);
-  ref_options.rr_record = &ref_recorder;
-  std::unique_ptr<EngineBase> ref_engine =
-      make_engine(program, "seq", ref_options);
-  load_wmes(*ref_engine, spec.workload.initial_wmes);
-  ref_engine->run();
-  const ReplayLog ref_log =
-      ref_recorder.finish(header_from(ref_spec, program),
-                          ref_engine->trace());
+  EngineConfig ref_config = config_from(ref_spec);
+  ref_config.options.rr_record = &ref_recorder;
+  Engine ref_engine(program, ref_config);
+  load_wmes(ref_engine, spec.workload.initial_wmes);
+  ref_engine.run();
+  const ReplayLog ref_log = ref_recorder.finish(
+      header_from(ref_spec, ref_config, program), ref_engine.trace());
 
   FaultInjector faults(plan);
   if (restart_at_cycle > 0) {
     // WorkerDeath recovery: run faulted to the restart point, checkpoint,
     // resume fault-free in a fresh engine (as an operator would after
     // losing a match process).
-    EngineOptions options = options_from(spec);
-    options.max_cycles = restart_at_cycle;
-    options.rr_faults = &faults;
-    std::unique_ptr<EngineBase> stage1 =
-        make_engine(program, spec.mode, options);
+    EngineConfig config = config_from(spec);
+    config.options.max_cycles = restart_at_cycle;
+    config.options.rr_faults = &faults;
+    auto stage1 = std::make_unique<Engine>(program, config);
     load_wmes(*stage1, spec.workload.initial_wmes);
     stage1->run();
-    const serve::Checkpoint cp = serve::Checkpoint::capture(*stage1);
+    const serve::Checkpoint cp = serve::Checkpoint::capture(stage1->base());
     stage1.reset();
 
-    std::unique_ptr<EngineBase> stage2 =
-        make_engine(program, spec.mode, options_from(spec));
-    cp.restore(*stage2);
-    out.result = stage2->run();
-    out.trace = stage2->trace();
+    Engine stage2(program, config_from(spec));
+    cp.restore(stage2.base());
+    out.result = stage2.run();
+    out.trace = stage2.trace();
     out.used_checkpoint_restart = true;
     const std::string diff =
         trace_divergence(ref_log.trace, out.trace, program);
@@ -248,16 +230,15 @@ FaultRunResult run_with_faults(const RunSpec& spec, const FaultPlan& plan,
   // Single-stage faulted run, recorded so every quiescent point can be
   // digest-checked against the reference.
   Recorder got_recorder(spec.store_cs_entries);
-  EngineOptions options = options_from(spec);
-  options.rr_faults = &faults;
-  options.rr_record = &got_recorder;
-  std::unique_ptr<EngineBase> engine =
-      make_engine(program, spec.mode, options);
-  load_wmes(*engine, spec.workload.initial_wmes);
-  out.result = engine->run();
-  out.trace = engine->trace();
-  const ReplayLog got_log =
-      got_recorder.finish(header_from(spec, program), engine->trace());
+  EngineConfig config = config_from(spec);
+  config.options.rr_faults = &faults;
+  config.options.rr_record = &got_recorder;
+  Engine engine(program, config);
+  load_wmes(engine, spec.workload.initial_wmes);
+  out.result = engine.run();
+  out.trace = engine.trace();
+  const ReplayLog got_log = got_recorder.finish(
+      header_from(spec, config, program), engine.trace());
 
   const std::string cycle_diff =
       diff_cycles(ref_log, got_log, &out.first_bad_cycle);
@@ -289,7 +270,8 @@ RunSpec fuzz_spec(std::uint64_t seed, const FuzzOptions& opt) {
   spec.scheduler = opt.scheduler;
   // Rotate the fuzz corpus across both lock disciplines so the fault plans
   // exercise the default Simple locks and MRSW requeues alike.
-  spec.lock_scheme = seed % 2 == 0 ? "simple" : "mrsw";
+  spec.lock_scheme = kLockSchemeNames.name_of(
+      seed % 2 == 0 ? match::LockScheme::Simple : match::LockScheme::Mrsw);
   spec.match_processes = 3;
   spec.task_queues = 2;
   spec.seed = seed;

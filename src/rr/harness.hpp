@@ -24,11 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/engine_base.hpp"
+#include "engine/engine.hpp"
 #include "rr/fault.hpp"
 #include "rr/log.hpp"
 #include "rr/replay.hpp"
@@ -41,8 +40,8 @@ struct Observability;
 namespace psme::rr {
 
 // One runnable experiment: a workload plus the engine shape to run it on.
-// String fields use the same vocabulary as LogHeader ("seq" | "threads" |
-// "sim", "central" | "steal", "simple" | "mrsw", "lex" | "mea").
+// String fields use the engine vocabulary's names (engine/engine.hpp),
+// as LogHeader does; mode is one of seq, threads, sim.
 struct RunSpec {
   workloads::Workload workload;
   std::string mode = "threads";
@@ -58,15 +57,12 @@ struct RunSpec {
   bool store_cs_entries = true;
 };
 
-// Engine shape -> EngineOptions (rr hooks left null for the caller).
-EngineOptions options_from(const RunSpec& spec);
-// Builds a "seq" | "threads" | "sim" engine; throws std::invalid_argument
-// on an unknown mode.
-std::unique_ptr<EngineBase> make_engine(const ops5::Program& program,
-                                        const std::string& mode,
-                                        const EngineOptions& options);
-// The log header describing `spec` (program fingerprint included).
-LogHeader header_from(const RunSpec& spec, const ops5::Program& program);
+// Engine shape -> EngineConfig for psme::Engine (rr hooks left null for
+// the caller). The names go through the engine vocabulary
+// (engine/engine.hpp); an unknown name, or a mode other than seq, threads
+// or sim, throws std::invalid_argument. replay_run applies the same
+// conversion to a log header and throws std::runtime_error instead.
+EngineConfig config_from(const RunSpec& spec);
 
 struct RecordedRun {
   ReplayLog log;

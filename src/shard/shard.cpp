@@ -74,26 +74,6 @@ void ShardState::apply_forward(const TaskFwdFrame& f) {
   touched_.push_back(&s);
 }
 
-void ShardState::price(const match::Task& t, const match::ActivationCost& c,
-                       std::size_t emitted) {
-  const sim::CostModel& m = cfg_.cost;
-  sim::VTime vt = m.task_dispatch;
-  switch (t.kind) {
-    case match::TaskKind::Root:
-      vt += m.root_charge(c, emitted);
-      break;
-    case match::TaskKind::JoinLeft:
-    case match::TaskKind::JoinRight:
-      vt += m.join_update_charge(c, t.sign) + m.join_probe_charge(c);
-      break;
-    case match::TaskKind::Terminal:
-      vt += m.terminal_update;
-      break;
-  }
-  vtime_ += vt;
-  batch_vtime_ += vt;
-}
-
 void ShardState::route(Slice& s, const match::Task& src,
                        std::vector<match::Task>& out, BatchWriter& reply) {
   for (const match::Task& t : out) {
@@ -167,7 +147,9 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
     s.w.emit_buf.clear();
     match::ActivationCost c;
     match::process_task(ctx, s.w.ctx, net_, task, s.w.emit_buf, &c);
-    price(task, c, s.w.emit_buf.size());
+    const sim::VTime vt = cfg_.cost.task_charge(task, c);
+    vtime_ += vt;
+    batch_vtime_ += vt;
     route(s, task, s.w.emit_buf, reply);
     s.w.stats.match.tasks_executed += 1;
     ++tasks_;

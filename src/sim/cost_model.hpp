@@ -108,12 +108,10 @@ struct CostModel {
   // --- per-activation charges, shared by SimEngine, the parallelism
   // profiler and the shard tier so all three price a task identically,
   // from the activation's ActivationCost: alpha_test per test evaluated,
-  // join_per_examined per opposite-memory candidate. -------------------
-  // `emitted` is the number of tasks the root task emitted.
-  VTime root_charge(const match::ActivationCost& ac,
-                    std::size_t emitted) const {
-    return root_base + alpha_test * ac.alpha_tests +
-           alpha_emit * static_cast<VTime>(emitted);
+  // join_per_examined per opposite-memory candidate, alpha_emit per task
+  // a root emitted. -----------------------------------------------------
+  VTime root_charge(const match::ActivationCost& ac) const {
+    return root_base + alpha_test * ac.alpha_tests + alpha_emit * ac.emissions;
   }
   VTime join_update_charge(const match::ActivationCost& ac, int sign) const {
     return hash_base + hash_per_slot * ac.key_slots +
@@ -124,6 +122,16 @@ struct CostModel {
   VTime join_probe_charge(const match::ActivationCost& ac) const {
     return join_probe_base + join_per_examined * ac.opp_examined +
            join_per_emission * ac.emissions + emit_per_wme * ac.emitted_wmes;
+  }
+  // A whole task run in one go (the profiler and the shard tier): its
+  // dispatch plus its kind's charges.
+  VTime task_charge(const match::Task& t,
+                    const match::ActivationCost& ac) const {
+    if (t.kind == match::TaskKind::Root) return task_dispatch + root_charge(ac);
+    if (t.kind == match::TaskKind::Terminal)
+      return task_dispatch + terminal_update;
+    return task_dispatch + join_update_charge(ac, t.sign) +
+           join_probe_charge(ac);
   }
 };
 

@@ -361,7 +361,7 @@ void Scheduler::charge(Cost cost, std::size_t n) {
 void Scheduler::charge(Phase phase, const match::Task& task,
                        const match::ActivationCost& ac) {
   switch (phase) {
-    case Phase::Root: spend(cost_.root_charge(ac, ac.emissions)); break;
+    case Phase::Root: spend(cost_.root_charge(ac)); break;
     case Phase::Terminal: spend(cost_.terminal_update); break;
     case Phase::JoinUpdate:
       spend(cost_.join_update_charge(ac, task.sign));

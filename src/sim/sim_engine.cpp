@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "engine/engine.hpp"
 #include "match/machine.hpp"
 #include "obs/metrics.hpp"
 #include "rr/fault.hpp"
@@ -85,19 +86,16 @@ class HardwareScheduler final : public match::Scheduler {
 // by default).
 std::unique_ptr<match::Scheduler> make_sim_scheduler(
     const EngineOptions& options, const SimConfig& config) {
-  if (options.match_processes < 1)
-    throw std::invalid_argument("SimEngine requires at least one match CPU");
-  if (options.memory != match::MemoryStrategy::Hash)
-    throw std::invalid_argument("SimEngine uses the hash-table memories");
+  validate_options(options, ExecutionMode::SimulatedMultimax);
   const int endpoints = options.match_processes + 1;
   if (options.rr_replay)
     return rr::make_replay_scheduler(options.rr_replay, endpoints);
   if (config.hardware_scheduler)
     return std::make_unique<HardwareScheduler>(options.task_queues,
                                                endpoints);
-  return match::make_scheduler(options.scheduler.value_or(kSimScheduler),
-                               options.task_queues, endpoints,
-                               options.steal_deque_capacity);
+  return match::make_scheduler(
+      scheduler_of(options, ExecutionMode::SimulatedMultimax),
+      options.task_queues, endpoints);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "engine/engine.hpp"
 #include "rr/digest.hpp"
 #include "rr/fault.hpp"
 
@@ -15,15 +16,14 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
             options.match_processes + 1) {
   if (options_.worlds == 0)
     throw std::invalid_argument("BatchEngine: options.worlds must be >= 1");
-  if (options_.memory != match::MemoryStrategy::Hash)
-    throw std::invalid_argument(
-        "BatchEngine: worlds use the global hash-table memories (vs2)");
   if (options_.rr_record || options_.rr_replay)
     throw std::invalid_argument(
         "BatchEngine: record/replay hooks are single-world; use "
         "set_digest_capture for per-world digests");
-  if (options_.match_processes < 0)
-    throw std::invalid_argument("BatchEngine: negative match_processes");
+  const ExecutionMode mode = options_.match_processes > 0
+                                ? ExecutionMode::ParallelThreads
+                                : ExecutionMode::Sequential;
+  validate_options(options_, mode);
   if (options_.match_processes > 0) {
     // Shared lock space across worlds: at least the per-world line count,
     // widened up to 8x as worlds grow so same-bucket-different-world
@@ -42,10 +42,9 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
     }
     workers_ = std::make_unique<match::WorkerPool>(
         network(), options_.match_processes,
-        match::make_scheduler(
-            options_.scheduler.value_or(kThreadedScheduler),
-            options_.task_queues, options_.match_processes + 1,
-            options_.steal_deque_capacity),
+        match::make_scheduler(scheduler_of(options_, mode),
+                              options_.task_queues,
+                              options_.match_processes + 1),
         locks, options_.lock_scheme, std::move(worlds),
         match::WorkerPool::Hooks{nullptr, options_.rr_faults, options_.obs});
   }

@@ -41,7 +41,9 @@ namespace psme::world {
 class BatchEngine final : public SessionBackend {
  public:
   // Builds options.worlds worlds (must be >= 1). Throws invalid_argument
-  // on nonsensical combinations (non-hash memories, rr record/replay).
+  // on rr record/replay hooks and on whatever validate_options
+  // (engine/engine.hpp) rejects for its mode: ParallelThreads with match
+  // processes, Sequential inline.
   BatchEngine(const ops5::Program& program, EngineOptions options);
   ~BatchEngine() override;
 

@@ -82,5 +82,88 @@ TEST(EngineFacade, RemoveByTimetagAndErrors) {
   EXPECT_EQ(engine.stats().firings, 0u);
 }
 
+// Every name of an axis parses to its table value, and name_of prints the
+// value back as the first name the table gives it (an alias prints as
+// that canonical name).
+template <typename V, std::size_t N>
+void expect_round_trip(const Vocabulary<V, N>& vocab) {
+  for (const Named<V>& n : vocab.names) {
+    const V value = vocab.parse(n.name);
+    EXPECT_TRUE(value == n.value) << n.name;
+    std::string_view first;
+    for (const Named<V>& m : vocab.names)
+      if (first.empty() && m.value == value) first = m.name;
+    EXPECT_EQ(vocab.name_of(value), first) << n.name;
+    EXPECT_TRUE(vocab.parse(vocab.name_of(value)) == value) << n.name;
+  }
+}
+
+TEST(EngineVocabulary, EveryNameRoundTripsThroughParseAndNameOf) {
+  expect_round_trip(kModeNames);
+  expect_round_trip(kSchedulerNames);
+  expect_round_trip(kLockSchemeNames);
+  expect_round_trip(kStrategyNames);
+}
+
+TEST(EngineVocabulary, ModeNamesPickEngineAndMemory) {
+  using match::MemoryStrategy;
+  EXPECT_EQ(kModeNames.parse("vs1"),
+            (EngineMode{ExecutionMode::Sequential, MemoryStrategy::List}));
+  EXPECT_EQ(kModeNames.parse("seq"),
+            (EngineMode{ExecutionMode::Sequential, MemoryStrategy::Hash}));
+  EXPECT_EQ(kModeNames.parse("vs2"), kModeNames.parse("seq"));
+  EXPECT_EQ(kModeNames.name_of(kModeNames.parse("vs2")), "seq");
+  EXPECT_EQ(kModeNames.parse("lisp"), EngineMode{ExecutionMode::LispStyle});
+  EXPECT_EQ(kModeNames.parse("threads"),
+            EngineMode{ExecutionMode::ParallelThreads});
+  EXPECT_EQ(kModeNames.parse("sim"),
+            EngineMode{ExecutionMode::SimulatedMultimax});
+  EXPECT_EQ(kModeNames.parse("treat"), EngineMode{ExecutionMode::Treat});
+  EXPECT_EQ(kStrategyNames.parse("mea"), CrStrategy::Mea);
+}
+
+TEST(EngineVocabulary, UnknownNameThrowsListingTheAcceptedNames) {
+  const auto expect_lists = [](const auto& vocab, const std::string& bad) {
+    try {
+      vocab.parse(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      for (const auto& n : vocab.names)
+        EXPECT_NE(what.find(std::string(n.name)), std::string::npos) << what;
+    }
+  };
+  expect_lists(kModeNames, "bogus");
+  expect_lists(kSchedulerNames, "fifo");
+  expect_lists(kLockSchemeNames, "seqlock");
+  expect_lists(kStrategyNames, "LEX");
+}
+
+TEST(EngineVocabulary, ParallelModesNeedAMatchProcess) {
+  const auto program = ops5::Program::from_source(kProgram);
+  for (const auto mode :
+       {ExecutionMode::ParallelThreads, ExecutionMode::SimulatedMultimax}) {
+    EngineConfig config;
+    config.mode = mode;
+    EXPECT_THROW(validate_options(config.options, mode),
+                 std::invalid_argument);
+    EXPECT_THROW(Engine(program, config), std::invalid_argument);
+    config.options.match_processes = 1;
+    EXPECT_NO_THROW(Engine(program, config));
+  }
+}
+
+TEST(EngineVocabulary, SchedulerOfFollowsEachEnginesDefault) {
+  EngineOptions options;
+  EXPECT_EQ(scheduler_of(options, ExecutionMode::ParallelThreads),
+            kThreadedScheduler);
+  EXPECT_EQ(scheduler_of(options, ExecutionMode::SimulatedMultimax),
+            kSimScheduler);
+  options.scheduler = match::SchedulerKind::Central;
+  EXPECT_EQ(scheduler_of(options, ExecutionMode::ParallelThreads),
+            match::SchedulerKind::Central);
+}
+
 }  // namespace
 }  // namespace psme

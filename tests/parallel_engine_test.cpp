@@ -135,8 +135,9 @@ TEST(ParallelEngine, StatsAggregateAcrossWorkers) {
 }
 
 TEST(ParallelEngine, WorkStealingSchedulerStaysCorrect) {
-  // The steal discipline under oversubscription, MRSW requeues, and a
-  // deliberately tiny deque so the overflow spill path runs too.
+  // The steal discipline under oversubscription and MRSW requeues (the
+  // overflow spill path has its own small-capacity tests in
+  // scheduler_test.cpp).
   const auto w = workloads::rubik(6);
   auto program = ops5::Program::from_source(w.source);
   SequentialEngine seq(program, {});
@@ -146,7 +147,6 @@ TEST(ParallelEngine, WorkStealingSchedulerStaysCorrect) {
   EngineOptions opt;
   opt.match_processes = 8;
   opt.scheduler = match::SchedulerKind::Steal;
-  opt.steal_deque_capacity = 16;
   opt.lock_scheme = match::LockScheme::Mrsw;
   opt.hash_buckets = 64;
   ParallelEngine eng(program, opt);
@@ -293,8 +293,7 @@ class ParallelEngineTerminals : public ::testing::Test {
     }
     pool_ = std::make_unique<match::WorkerPool>(
         *net_, kWorkers,
-        match::make_scheduler(match::SchedulerKind::Steal, 1, kWorkers + 1,
-                              match::WsDeque::kDefaultCapacity),
+        match::make_scheduler(match::SchedulerKind::Steal, 1, kWorkers + 1),
         64, match::LockScheme::Simple, std::move(pw),
         match::WorkerPool::Hooks{});
     pool_->begin_run(control_stats_);

@@ -231,11 +231,11 @@ TEST(Metrics, FaultInjectionCountsFires) {
   FaultInjector inj(plan);
   const ops5::Program program =
       ops5::Program::from_source(spec.workload.source);
-  EngineOptions options = options_from(spec);
-  options.rr_faults = &inj;
-  auto engine = make_engine(program, spec.mode, options);
-  for (const std::string& w : spec.workload.initial_wmes) engine->make(w);
-  engine->run();
+  EngineConfig config = config_from(spec);
+  config.options.rr_faults = &inj;
+  Engine engine(program, config);
+  for (const std::string& w : spec.workload.initial_wmes) engine.make(w);
+  engine.run();
   EXPECT_GT(inj.injected(), 0u);
   EXPECT_LE(inj.injected(), 5u);
 }

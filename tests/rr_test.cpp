@@ -224,6 +224,50 @@ TEST(RecordReplay, ReplayRefusesMismatchedProgram) {
   EXPECT_THROW(replay_run(rec.log), std::runtime_error);
 }
 
+// Record and replay take the engine vocabulary's canonical names for the
+// modes replay can pin; anything else is refused up front, and a log
+// header naming one is a replay error for every axis.
+TEST(RecordReplay, ShapeNamesGoThroughTheEngineVocabulary) {
+  RunSpec spec;
+  spec.mode = "sim";
+  spec.scheduler = "steal";
+  spec.lock_scheme = "mrsw";
+  spec.strategy = "mea";
+  spec.match_processes = 3;
+  const EngineConfig config = config_from(spec);
+  EXPECT_EQ(config.mode, ExecutionMode::SimulatedMultimax);
+  EXPECT_EQ(config.options.scheduler, match::SchedulerKind::Steal);
+  EXPECT_EQ(config.options.lock_scheme, match::LockScheme::Mrsw);
+  EXPECT_EQ(config.options.strategy, CrStrategy::Mea);
+  EXPECT_EQ(config.options.match_processes, 3);
+  spec.mode = "seq";
+  EXPECT_EQ(config_from(spec).options.match_processes, 0);
+  for (const char* mode : {"vs2", "vs1", "lisp", "treat", "bogus"}) {
+    spec.mode = mode;
+    EXPECT_THROW(config_from(spec), std::invalid_argument) << mode;
+  }
+
+  spec = RunSpec{};
+  spec.workload = workloads::tourney(8, false);
+  spec.mode = "seq";
+  spec.max_cycles = 5;
+  const RecordedRun rec = record_run(spec);
+  const auto expect_refused = [&](auto mutate, const std::string& needle) {
+    ReplayLog bad = rec.log;
+    mutate(bad.header);
+    try {
+      replay_run(bad);
+      ADD_FAILURE() << "replayed a log with a bad " << needle;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad " + needle),
+                std::string::npos) << e.what();
+    }
+  };
+  expect_refused([](LogHeader& h) { h.mode = "lisp"; }, "mode");
+  expect_refused([](LogHeader& h) { h.scheduler = "fifo"; }, "scheduler");
+  expect_refused([](LogHeader& h) { h.strategy = "LEX"; }, "strategy");
+}
+
 TEST(TraceDivergence, RendersFirstDifference) {
   const auto w = workloads::tourney(8, false);
   const auto program = ops5::Program::from_source(w.source);

@@ -395,10 +395,8 @@ TEST(WorkStealingScheduler, RequeueContentionStressConservesTasks) {
 }
 
 TEST(MakeScheduler, FactorySelectsDiscipline) {
-  auto central = make_scheduler(SchedulerKind::Central, 2, 3,
-                                WsDeque::kDefaultCapacity);
-  auto steal =
-      make_scheduler(SchedulerKind::Steal, 2, 3, WsDeque::kDefaultCapacity);
+  auto central = make_scheduler(SchedulerKind::Central, 2, 3);
+  auto steal = make_scheduler(SchedulerKind::Steal, 2, 3);
   EXPECT_NE(dynamic_cast<CentralScheduler*>(central.get()), nullptr);
   EXPECT_NE(dynamic_cast<WorkStealingScheduler*>(steal.get()), nullptr);
   EXPECT_EQ(central->endpoints(), 3);

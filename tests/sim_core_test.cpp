@@ -280,7 +280,8 @@ TEST(SimCostModel, ActivationChargesUseThePapersPerTestPrice) {
       out, &rc);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(rc.alpha_tests, 2u);  // ^c red, ^d 3
-  EXPECT_EQ(cm.root_charge(rc, out.size()),
+  EXPECT_EQ(rc.emissions, out.size());
+  EXPECT_EQ(cm.root_charge(rc),
             cm.root_base + cm.alpha_test * rc.alpha_tests +
                 cm.alpha_emit * out.size());
 

@@ -5,7 +5,8 @@
 //   psme_cli --workload {weaver|rubik|tourney|tourney-fixed|random} [options]
 //
 // Options:
-//   --mode {seq|vs1|lisp|threads|sim|treat}  execution engine (default seq/vs2)
+//   --mode {seq|vs2|vs1|lisp|threads|sim|treat}  execution engine (default
+//                    seq; vs2 is its alias; names in src/engine/engine.hpp)
 //   --procs N        match processes for threads/sim modes (default 4)
 //   --queues N       task queues (default 1)
 //   --sched {central|steal}   task scheduler for threads/sim modes:
@@ -72,6 +73,12 @@ namespace {
   std::exit(msg ? 1 : 0);
 }
 
+const char* stop_reason(psme::StopReason r) {
+  return r == psme::StopReason::Halt               ? "halt"
+         : r == psme::StopReason::EmptyConflictSet ? "empty conflict set"
+                                                   : "cycle limit";
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) usage(("cannot open " + path).c_str());
@@ -99,7 +106,6 @@ int main(int argc, char** argv) {
   std::string program_path;
   std::string workload_name;
   psme::EngineConfig config;
-  config.options.match_processes = 0;
   config.options.out = &std::cout;
   config.options.max_cycles = 100000;
   int procs = 4;
@@ -113,79 +119,56 @@ int main(int argc, char** argv) {
   std::string transport = "inproc";
   std::string keyless = "replicate";
   bool keyless_set = false;
-  std::string mode = "seq";
+  psme::EngineMode mode;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") usage();
-    else if (arg == "--workload") workload_name = next();
-    else if (arg == "--mode") mode = next();
-    else if (arg == "--procs") procs = std::stoi(next());
-    else if (arg == "--queues") config.options.task_queues = std::stoi(next());
-    else if (arg == "--sched") {
-      const std::string v = next();
-      if (v == "central") config.options.scheduler =
-          psme::match::SchedulerKind::Central;
-      else if (v == "steal") config.options.scheduler =
-          psme::match::SchedulerKind::Steal;
-      else usage("unknown scheduler");
-    } else if (arg == "--locks") {
-      const std::string v = next();
-      if (v == "simple") config.options.lock_scheme =
-          psme::match::LockScheme::Simple;
-      else if (v == "mrsw") config.options.lock_scheme =
-          psme::match::LockScheme::Mrsw;
-      else usage("unknown lock scheme");
-    } else if (arg == "--strategy") {
-      const std::string v = next();
-      if (v == "lex") config.options.strategy = psme::CrStrategy::Lex;
-      else if (v == "mea") config.options.strategy = psme::CrStrategy::Mea;
-      else usage("unknown strategy");
-    } else if (arg == "--seed") config.options.seed =
-        static_cast<std::uint64_t>(std::stoull(next()));
-    else if (arg == "--wm") wmes.push_back(next());
-    else if (arg == "--wmfile") wmfile = next();
-    else if (arg == "--cycles") config.options.max_cycles =
-        static_cast<std::uint64_t>(std::stoll(next()));
-    else if (arg == "--watch") config.options.watch = std::stoi(next());
-    else if (arg == "--worlds") worlds =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--shards") shards =
-        static_cast<std::uint16_t>(std::stoul(next()));
-    else if (arg == "--transport") transport = next();
-    else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
-    else if (arg == "--network") print_net = true;
-    else if (arg == "--analyze") analyze = true;
-    else if (arg == "--dump-source") dump_source = true;
-    else if (arg == "--stats") print_stats = true;
-    else if (arg == "--metrics-json") metrics_path = next();
-    else if (arg == "--trace") trace_path = next();
-    else if (!arg.empty() && arg[0] == '-') usage(("unknown option " + arg).c_str());
-    else program_path = arg;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") usage();
+      else if (arg == "--workload") workload_name = next();
+      else if (arg == "--mode") mode = psme::kModeNames.parse(next());
+      else if (arg == "--procs") procs = std::stoi(next());
+      else if (arg == "--queues")
+        config.options.task_queues = std::stoi(next());
+      else if (arg == "--sched")
+        config.options.scheduler = psme::kSchedulerNames.parse(next());
+      else if (arg == "--locks")
+        config.options.lock_scheme = psme::kLockSchemeNames.parse(next());
+      else if (arg == "--strategy")
+        config.options.strategy = psme::kStrategyNames.parse(next());
+      else if (arg == "--seed") config.options.seed =
+          static_cast<std::uint64_t>(std::stoull(next()));
+      else if (arg == "--wm") wmes.push_back(next());
+      else if (arg == "--wmfile") wmfile = next();
+      else if (arg == "--cycles") config.options.max_cycles =
+          static_cast<std::uint64_t>(std::stoll(next()));
+      else if (arg == "--watch") config.options.watch = std::stoi(next());
+      else if (arg == "--worlds") worlds =
+          static_cast<std::uint32_t>(std::stoul(next()));
+      else if (arg == "--shards") shards =
+          static_cast<std::uint16_t>(std::stoul(next()));
+      else if (arg == "--transport") transport = next();
+      else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
+      else if (arg == "--network") print_net = true;
+      else if (arg == "--analyze") analyze = true;
+      else if (arg == "--dump-source") dump_source = true;
+      else if (arg == "--stats") print_stats = true;
+      else if (arg == "--metrics-json") metrics_path = next();
+      else if (arg == "--trace") trace_path = next();
+      else if (!arg.empty() && arg[0] == '-') usage(("unknown option " + arg).c_str());
+      else program_path = arg;
+    }
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // a name outside the engine vocabulary, or a bad number
   }
 
-  if (mode == "seq" || mode == "vs2") {
-    config.mode = psme::ExecutionMode::Sequential;
-  } else if (mode == "vs1") {
-    config.mode = psme::ExecutionMode::Sequential;
-    config.options.memory = psme::match::MemoryStrategy::List;
-  } else if (mode == "lisp") {
-    config.mode = psme::ExecutionMode::LispStyle;
-  } else if (mode == "threads") {
-    config.mode = psme::ExecutionMode::ParallelThreads;
-    config.options.match_processes = procs;
-  } else if (mode == "sim") {
-    config.mode = psme::ExecutionMode::SimulatedMultimax;
-    config.options.match_processes = procs;
-  } else if (mode == "treat") {
-    config.mode = psme::ExecutionMode::Treat;
-  } else {
-    usage("unknown mode");
-  }
+  config.mode = mode.mode;
+  config.options.memory = mode.memory;
+  if (psme::is_parallel(config.mode)) config.options.match_processes = procs;
   if (worlds > 0 && config.mode != psme::ExecutionMode::Sequential)
     usage("--worlds runs on the shared match kernel (seq/vs2 mode only)");
   if (shards > 0 && config.mode != psme::ExecutionMode::Sequential)
@@ -276,13 +259,8 @@ int main(int argc, char** argv) {
               << " session(s), one compiled network\n";
     for (std::uint32_t s = 0; s < sessions; ++s) {
       const psme::RunResult r = group.control(s).result();
-      const char* why =
-          r.reason == psme::StopReason::Halt ? "halt"
-          : r.reason == psme::StopReason::EmptyConflictSet
-              ? "empty conflict set"
-              : "cycle limit";
-      std::cout << "; session " << s << " stopped (" << why << ") after "
-                << r.stats.cycles << " cycles, wm size "
+      std::cout << "; session " << s << " stopped (" << stop_reason(r.reason)
+                << ") after " << r.stats.cycles << " cycles, wm size "
                 << group.control(s).wm->size() << "\n";
     }
     const psme::shard::GroupStats gs = group.group_stats();
@@ -349,22 +327,15 @@ int main(int argc, char** argv) {
   for (const std::string& w : wmes) engine.make(w);
 
   const psme::RunResult result = engine.run();
-  const char* reason =
-      result.reason == psme::StopReason::Halt ? "halt"
-      : result.reason == psme::StopReason::EmptyConflictSet
-          ? "empty conflict set"
-          : "cycle limit";
-  std::cout << "; stopped (" << reason << ") after " << result.stats.cycles
-            << " cycles\n";
+  std::cout << "; stopped (" << stop_reason(result.reason) << ") after "
+            << result.stats.cycles << " cycles\n";
   if (config.options.obs) {
     obs.export_run(result.stats);
     psme::obs::Observability::export_config(
         config.options.match_processes, config.options.task_queues,
         static_cast<int>(config.options.lock_scheme),
-        config.options.scheduler.value_or(
-            config.mode == psme::ExecutionMode::ParallelThreads
-                ? psme::kThreadedScheduler
-                : psme::kSimScheduler) == psme::match::SchedulerKind::Steal,
+        psme::scheduler_of(config.options, config.mode) ==
+            psme::match::SchedulerKind::Steal,
         obs.registry);
     if (!metrics_path.empty()) {
       std::ofstream out(metrics_path);

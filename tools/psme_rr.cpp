@@ -100,12 +100,7 @@ int cmd_record(int argc, char** argv) {
   }
   if (out_path.empty()) usage("record needs --out FILE");
   spec.workload = resolve_workload(workload, fast, spec.seed);
-  psme::rr::RecordedRun run;
-  try {
-    run = psme::rr::record_run(spec);
-  } catch (const std::invalid_argument& e) {
-    usage(e.what());  // an unknown --mode/--sched/--locks/--strategy
-  }
+  const psme::rr::RecordedRun run = psme::rr::record_run(spec);
   write_file(out_path, run.log.serialize());
   std::cout << "recorded " << run.log.header.workload << " (" << spec.mode
             << "/" << spec.scheduler << "): " << run.log.cycles.size()
@@ -219,8 +214,12 @@ int main(int argc, char** argv) {
   if (argc < 2) usage("no subcommand");
   const std::string cmd = argv[1];
   if (cmd == "--help" || cmd == "-h") usage();
-  if (cmd == "record") return cmd_record(argc - 2, argv + 2);
-  if (cmd == "replay") return cmd_replay(argc - 2, argv + 2);
-  if (cmd == "fuzz") return cmd_fuzz(argc - 2, argv + 2);
+  try {
+    if (cmd == "record") return cmd_record(argc - 2, argv + 2);
+    if (cmd == "replay") return cmd_replay(argc - 2, argv + 2);
+    if (cmd == "fuzz") return cmd_fuzz(argc - 2, argv + 2);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // a name outside the engine vocabulary, or a bad number
+  }
   usage(("unknown subcommand " + cmd).c_str());
 }

@@ -17,7 +17,8 @@
 //   --sessions N      loadgen: concurrent sessions            (default 100)
 //   --workers N       server worker threads                   (default 4)
 //   --queue-cap N     server request-queue capacity           (default 1024)
-//   --mode M          engine mode: seq|lisp|threads|sim|treat (default sim)
+//   --mode M          engine mode, named as in src/engine/engine.hpp:
+//                     seq|vs2|vs1|lisp|threads|sim|treat      (default sim)
 //   --procs N         match processes for threads/sim modes   (default 4)
 //   --locks S         hash-line lock scheme for threads/sim
 //                     modes: simple|mrsw                   (default simple)
@@ -45,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "shard/shard_group.hpp"
 #include "workloads/workloads.hpp"
@@ -83,8 +85,9 @@ int repl(psme::serve::Session& session,
 
 int main(int argc, char** argv) {
   bool loadgen = false, use_stdin = false;
-  std::string mode = "sim", locks = "simple", workload_name, program_path,
-      json_path;
+  std::string workload_name, program_path, json_path;
+  psme::EngineConfig config;
+  psme::EngineMode mode{psme::ExecutionMode::SimulatedMultimax};
   int procs = 4;
   int shards = 0;
   std::string transport = "inproc";
@@ -93,39 +96,44 @@ int main(int argc, char** argv) {
   psme::serve::ServerConfig server_config;
   psme::serve::LoadGenConfig gen;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") usage();
-    else if (arg == "--loadgen") loadgen = true;
-    else if (arg == "--stdin") use_stdin = true;
-    else if (arg == "--sessions") gen.sessions = std::stoi(next());
-    else if (arg == "--workers") server_config.workers = std::stoi(next());
-    else if (arg == "--queue-cap")
-      server_config.queue_capacity =
-          static_cast<std::size_t>(std::stoll(next()));
-    else if (arg == "--mode") mode = next();
-    else if (arg == "--procs") procs = std::stoi(next());
-    else if (arg == "--locks") locks = next();
-    else if (arg == "--cycles") gen.run_cycles = std::stoi(next());
-    else if (arg == "--slices") gen.run_slices = std::stoi(next());
-    else if (arg == "--think-ms") gen.think_ms = std::stod(next());
-    else if (arg == "--rate") gen.open_rate = std::stod(next());
-    else if (arg == "--deadline-ms") gen.deadline_ms = std::stod(next());
-    else if (arg == "--seed")
-      gen.seed = static_cast<std::uint64_t>(std::stoull(next()));
-    else if (arg == "--no-verify") gen.verify_traces = false;
-    else if (arg == "--json") json_path = next();
-    else if (arg == "--shards") shards = std::stoi(next());
-    else if (arg == "--transport") transport = next();
-    else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
-    else if (arg == "--workload") workload_name = next();
-    else if (!arg.empty() && arg[0] == '-')
-      usage(("unknown option " + arg).c_str());
-    else program_path = arg;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") usage();
+      else if (arg == "--loadgen") loadgen = true;
+      else if (arg == "--stdin") use_stdin = true;
+      else if (arg == "--sessions") gen.sessions = std::stoi(next());
+      else if (arg == "--workers") server_config.workers = std::stoi(next());
+      else if (arg == "--queue-cap")
+        server_config.queue_capacity =
+            static_cast<std::size_t>(std::stoll(next()));
+      else if (arg == "--mode") mode = psme::kModeNames.parse(next());
+      else if (arg == "--procs") procs = std::stoi(next());
+      else if (arg == "--locks")
+        config.options.lock_scheme = psme::kLockSchemeNames.parse(next());
+      else if (arg == "--cycles") gen.run_cycles = std::stoi(next());
+      else if (arg == "--slices") gen.run_slices = std::stoi(next());
+      else if (arg == "--think-ms") gen.think_ms = std::stod(next());
+      else if (arg == "--rate") gen.open_rate = std::stod(next());
+      else if (arg == "--deadline-ms") gen.deadline_ms = std::stod(next());
+      else if (arg == "--seed")
+        gen.seed = static_cast<std::uint64_t>(std::stoull(next()));
+      else if (arg == "--no-verify") gen.verify_traces = false;
+      else if (arg == "--json") json_path = next();
+      else if (arg == "--shards") shards = std::stoi(next());
+      else if (arg == "--transport") transport = next();
+      else if (arg == "--keyless") { keyless = next(); keyless_set = true; }
+      else if (arg == "--workload") workload_name = next();
+      else if (!arg.empty() && arg[0] == '-')
+        usage(("unknown option " + arg).c_str());
+      else program_path = arg;
+    }
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // a name outside the engine vocabulary, or a bad number
   }
   if (loadgen == use_stdin) usage("pick exactly one of --loadgen / --stdin");
   if (shards < 0 || shards > 0xffff) usage("--shards out of range");
@@ -139,28 +147,9 @@ int main(int argc, char** argv) {
     usage("unknown keyless policy (owner|replicate)");
   if (shards == 0 && keyless_set) usage("--keyless needs --shards");
 
-  psme::EngineConfig config;
-  if (mode == "seq") {
-    config.mode = psme::ExecutionMode::Sequential;
-  } else if (mode == "lisp") {
-    config.mode = psme::ExecutionMode::LispStyle;
-  } else if (mode == "threads") {
-    config.mode = psme::ExecutionMode::ParallelThreads;
-    config.options.match_processes = procs;
-  } else if (mode == "sim") {
-    config.mode = psme::ExecutionMode::SimulatedMultimax;
-    config.options.match_processes = procs;
-  } else if (mode == "treat") {
-    config.mode = psme::ExecutionMode::Treat;
-  } else {
-    usage("unknown mode");
-  }
-  if (locks == "simple")
-    config.options.lock_scheme = psme::match::LockScheme::Simple;
-  else if (locks == "mrsw")
-    config.options.lock_scheme = psme::match::LockScheme::Mrsw;
-  else
-    usage("unknown lock scheme");
+  config.mode = mode.mode;
+  config.options.memory = mode.memory;
+  if (psme::is_parallel(config.mode)) config.options.match_processes = procs;
 
   try {
     if (use_stdin) {
